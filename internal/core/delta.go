@@ -25,12 +25,22 @@ import (
 //     planner's order invariance) and re-cleaned through the same per-block
 //     stage-I primitives the batch pipeline uses (AGP → weight learning →
 //     RSC), so per-block results cannot drift from a from-scratch run.
-//   - Re-fusion is bounded by comparing each tuple's per-block version
-//     (piece identity + learned weight, both fixed-width) before and after
-//     the rebuild: a tuple whose versions are bit-identical fuses to the
-//     same assignment, so its cached outcome is reused. Conflicted tuples
-//     are always re-fused — their outcome reads global candidate sets and
-//     attribute domain sizes, which any mutation may shift.
+//   - Re-fusion is exact by read set: a tuple re-fuses only when an input
+//     its last fusion read has moved. Every fusion reads the tuple's dirty
+//     row and its versions' identities (one piece per block it belongs
+//     to). A non-conflicted tuple (no two versions disagree) takes the fast
+//     path, whose outcome is the union of its versions, and reads nothing
+//     else. A conflicted tuple also reads its versions' learned weights,
+//     the domain sizes at the positions its versions cover, and the answers
+//     of the replacement lookups its search made, which it records. So a
+//     tuple re-fuses when it was mutated, joined or left a block, or one
+//     of its pieces changed identity; a conflicted one also when a version
+//     weight or a covered domain size moved, or when one of its recorded
+//     lookups, replayed against a rebuilt block whose candidate list
+//     changed, answers differently. Inserts and deletes change a block's
+//     support total, which moves every learned weight in it, so they
+//     re-fuse every conflicted tuple of the block. A no-op rewrite
+//     re-fuses only the rewritten tuple.
 //
 // The correctness anchor is exact parity: after any mutation sequence,
 // Apply's Result is byte-identical to Clean over the same table (the
@@ -65,6 +75,10 @@ type DeltaStats struct {
 	// ones re-ran fusion, reused ones kept their cached outcome.
 	RefusedTuples int
 	ReusedTuples  int
+	// RevalidatedTuples is the part of ReusedTuples that was conflicted:
+	// kept only after the domain sizes it covers and its recorded
+	// replacement lookups were re-checked and found unchanged.
+	RevalidatedTuples int
 	// Wall is the time Apply spent end to end.
 	Wall time.Duration
 }
@@ -81,8 +95,6 @@ type verInfo struct {
 type deltaBlock struct {
 	rule  *rules.Rule
 	block *index.Block // post AGP + learn + RSC
-	fb    *FusionBlock
-	cands *blockCands
 	// vers maps tuple ID → its version facts, for the cheap pre/post rebuild
 	// comparison that bounds re-fusion.
 	vers map[int]verInfo
@@ -101,12 +113,18 @@ type blockFrag struct {
 	groups, abnormal, abnormalPieces, promotions, learnIters, rscRepairs int
 }
 
-// tupleState is one tuple's cached fusion outcome.
+// tupleState is one tuple's cached fusion outcome, plus what that fusion
+// read beyond its versions and dirty row.
 type tupleState struct {
-	values     []string // fused (repaired) values, schema order
-	changes    int
-	failed     bool
+	values  []string // fused (repaired) values, schema order
+	changes int
+	failed  bool
+	// conflicted: two of the tuple's versions disagree, so its fusion also
+	// read its versions' weights, the domain sizes at the positions they
+	// cover, and the replacement lookups recorded in lookups (packed as
+	// readLog packs them). A non-conflicted fusion reads none of these.
 	conflicted bool
+	lookups    []uint32
 }
 
 // DeltaCleaner incrementally re-cleans a mutating table. It is not safe for
@@ -128,9 +146,17 @@ type DeltaCleaner struct {
 
 	blocks      []*deltaBlock
 	posPerBlock [][]int
-	needed      []bool // schema positions any rule touches
-	domain      []int  // distinct-value counts for needed positions
-	fused       map[int]*tupleState
+	// fbs and cands hold each block's fusion inputs, indexed like blocks.
+	fbs   []*FusionBlock
+	cands []*blockCands
+	// valRefs[p] counts the rows holding each value ID at schema position p,
+	// for the positions any rule touches (nil elsewhere); domain[p] is its
+	// size, the distinct-value count fusion's observation model reads.
+	valRefs []map[uint32]int32
+	domain  []int
+	fused   map[int]*tupleState
+	// log is the scratch sink fuseOne hands the fuser.
+	log readLog
 
 	// Incremental duplicate detection: each tuple's fused row reduced to an
 	// interned ID-sequence key, refreshed only when the tuple re-fuses, so
@@ -164,14 +190,17 @@ func NewDeltaCleaner(schema *dataset.Schema, rs []*rules.Rule, opts Options) (*D
 	opts.Trace = nil
 	dict := intern.NewDict()
 	d := &DeltaCleaner{
-		schema: schema,
-		rs:     rs,
-		opts:   opts,
-		dict:   dict,
-		pool:   distance.NewPool(opts.Metric, dict),
-		rowPos: make(map[int]int),
-		fused:  make(map[int]*tupleState),
-		needed: make([]bool, schema.Len()),
+		schema:  schema,
+		rs:      rs,
+		opts:    opts,
+		dict:    dict,
+		pool:    distance.NewPool(opts.Metric, dict),
+		rowPos:  make(map[int]int),
+		fused:   make(map[int]*tupleState),
+		fbs:     make([]*FusionBlock, len(rs)),
+		cands:   make([]*blockCands, len(rs)),
+		valRefs: make([]map[uint32]int32, schema.Len()),
+		domain:  make([]int, schema.Len()),
 
 		dedupDict: intern.NewDict(),
 		rowKeys:   make(map[int]uint32),
@@ -182,7 +211,9 @@ func NewDeltaCleaner(schema *dataset.Schema, rs []*rules.Rule, opts Options) (*D
 		pos := make([]int, len(attrs))
 		for i, a := range attrs {
 			pos[i] = schema.MustIndex(a)
-			d.needed[pos[i]] = true
+			if d.valRefs[pos[i]] == nil {
+				d.valRefs[pos[i]] = make(map[uint32]int32)
+			}
 		}
 		d.posPerBlock[ri] = pos
 	}
@@ -215,6 +246,7 @@ func (d *DeltaCleaner) Load(tb *dataset.Table) (*Result, error) {
 			return nil, fmt.Errorf("core: delta: duplicate tuple id %d", t.ID)
 		}
 		d.encRows = append(d.encRows, d.encode(t.Values))
+		d.countRow(d.encRows[i], 1)
 	}
 	d.reindex()
 
@@ -226,7 +258,6 @@ func (d *DeltaCleaner) Load(tb *dataset.Table) (*Result, error) {
 		}
 		d.blocks[ri] = db
 	}
-	d.recomputeDomains()
 	for _, t := range d.tuples {
 		d.fuseOne(t.ID)
 	}
@@ -254,6 +285,7 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 
 	// Fold the batch into the table, collecting the dirtied rules and the
 	// mutated tuple IDs. Each mutation sees the state its predecessors left.
+	oldDomain := append([]int(nil), d.domain...)
 	dirty := make([]bool, len(d.rs))
 	refuse := make(map[int]struct{})
 	for _, m := range muts {
@@ -269,7 +301,9 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 					}
 				}
 				d.tuples[pos].Values = vals
+				d.countRow(d.encRows[pos], -1)
 				d.encRows[pos] = d.encode(vals)
+				d.countRow(d.encRows[pos], 1)
 			} else {
 				for ri, r := range d.rs {
 					if d.appliesVals(r, vals) {
@@ -286,6 +320,7 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 					dirty[ri] = true
 				}
 			}
+			d.countRow(d.encRows[pos], -1)
 			d.tuples = append(d.tuples[:pos], d.tuples[pos+1:]...)
 			d.encRows = append(d.encRows[:pos], d.encRows[pos+1:]...)
 			d.reindex()
@@ -294,8 +329,10 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 		}
 	}
 
-	// Rebuild the dirty blocks and mark every tuple whose version facts moved.
+	// Rebuild the dirty blocks, mark every tuple whose version facts moved,
+	// and note which blocks' candidate lists changed.
 	ds := &DeltaStats{}
+	candsMoved := make([]bool, len(d.rs))
 	for ri, isDirty := range dirty {
 		if !isDirty {
 			ds.ReusedBlocks++
@@ -303,15 +340,17 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 		}
 		ds.DirtyBlocks++
 		db := d.blocks[ri]
-		oldVers := db.vers
+		oldVers, oldCands := db.vers, d.cands[ri]
 		if err := d.cleanBlock(ri, db); err != nil {
 			// Learn errors are a function of the options alone, so a Load that
 			// succeeded cannot fail here; surface it anyway rather than serve
 			// a half-updated result.
 			return nil, nil, err
 		}
+		candsMoved[ri] = !d.cands[ri].sameAs(oldCands)
 		for id, v := range db.vers {
-			if ov, ok := oldVers[id]; !ok || ov != v {
+			ov, ok := oldVers[id]
+			if !ok || ov.kid != v.kid || ov.weight != v.weight && d.readsWeights(id) {
 				refuse[id] = struct{}{}
 			}
 		}
@@ -321,14 +360,30 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 			}
 		}
 	}
-	// Conflicted tuples read global candidate sets and domain sizes, both of
-	// which any mutation may have shifted — always re-fuse them.
-	for id, ts := range d.fused {
-		if ts.conflicted {
-			refuse[id] = struct{}{}
+	// A conflicted tuple whose versions held still also read domain sizes
+	// and replacement lookups: re-fuse it only if one of those moved.
+	domMoved := make([]bool, len(d.rs))
+	for bi, pos := range d.posPerBlock {
+		for _, p := range pos {
+			if d.domain[p] != oldDomain[p] {
+				domMoved[bi] = true
+			}
 		}
 	}
-	d.recomputeDomains()
+	scratch := newAssignment(d.schema.Len())
+	for id, ts := range d.fused {
+		if !ts.conflicted {
+			continue
+		}
+		if _, ok := refuse[id]; ok {
+			continue
+		}
+		if d.readsMoved(id, ts, domMoved, candsMoved, scratch) {
+			refuse[id] = struct{}{}
+		} else {
+			ds.RevalidatedTuples++
+		}
+	}
 
 	ids := make([]int, 0, len(refuse))
 	for id := range refuse {
@@ -349,6 +404,7 @@ func (d *DeltaCleaner) Apply(muts []Mutation) (*Result, *DeltaStats, error) {
 	mDeltaReusedBlocks.Add(int64(ds.ReusedBlocks))
 	mDeltaRefusedTuples.Add(int64(ds.RefusedTuples))
 	mDeltaReusedTuples.Add(int64(ds.ReusedTuples))
+	mDeltaRevalidatedTuples.Add(int64(ds.RevalidatedTuples))
 	mDeltaSeconds.ObserveDuration(ds.Wall)
 	return d.assemble(), ds, nil
 }
@@ -449,6 +505,7 @@ func (d *DeltaCleaner) insertAt(row int, vals []string) {
 	d.encRows = append(d.encRows, nil)
 	copy(d.encRows[at+1:], d.encRows[at:])
 	d.encRows[at] = d.encode(vals)
+	d.countRow(d.encRows[at], 1)
 	d.reindex()
 }
 
@@ -496,8 +553,8 @@ func (d *DeltaCleaner) cleanBlock(ri int, db *deltaBlock) error {
 			}
 		}
 	}
-	db.fb = fb
-	db.cands = buildBlockCands(fb, d.posPerBlock[ri])
+	d.fbs[ri] = fb
+	d.cands[ri] = buildBlockCands(fb, d.posPerBlock[ri])
 	db.vers = make(map[int]verInfo, len(fb.Versions))
 	for id, p := range fb.Versions {
 		db.vers[id] = verInfo{kid: p.KeyID(), weight: p.Weight}
@@ -523,48 +580,69 @@ func blockSummaries(b *index.Block) []index.PieceSummary {
 	return out
 }
 
-// recomputeDomains refreshes the distinct-value counts fusion's observation
-// model reads, over the columns any rule touches.
-func (d *DeltaCleaner) recomputeDomains() {
-	width := d.schema.Len()
-	d.domain = make([]int, width)
-	var seen map[uint32]struct{}
-	for p := 0; p < width; p++ {
-		if !d.needed[p] {
+// countRow adds (delta 1) or removes (delta -1) one encoded row from the
+// per-position value refcounts, keeping domain in step.
+func (d *DeltaCleaner) countRow(row []uint32, delta int32) {
+	for p, refs := range d.valRefs {
+		if refs == nil {
 			continue
 		}
-		if seen == nil {
-			seen = make(map[uint32]struct{}, len(d.encRows))
+		if n := refs[row[p]] + delta; n > 0 {
+			refs[row[p]] = n
 		} else {
-			clear(seen)
+			delete(refs, row[p])
 		}
-		for _, row := range d.encRows {
-			seen[row[p]] = struct{}{}
-		}
-		d.domain[p] = len(seen)
+		d.domain[p] = len(refs)
 	}
 }
 
 // fuseOne re-runs fusion for one tuple against the current blocks and caches
-// the outcome.
+// the outcome together with its read set.
 func (d *DeltaCleaner) fuseOne(id int) {
 	pos := d.rowPos[id]
-	fbs := make([]*FusionBlock, len(d.blocks))
-	cands := make([]*blockCands, len(d.blocks))
-	for i, db := range d.blocks {
-		fbs[i] = db.fb
-		cands[i] = db.cands
-	}
 	t := d.tuples[pos].Clone()
 	changes, failed := fuseTuple(t, d.encRows[pos], d.dict, d.schema,
-		fbs, d.posPerBlock, cands, d.domain, d.opts)
-	d.fused[id] = &tupleState{
+		d.fbs, d.posPerBlock, d.cands, d.domain, d.opts, &d.log)
+	ts := &tupleState{
 		values:     t.Values,
 		changes:    changes,
 		failed:     failed,
-		conflicted: d.conflicted(id),
+		conflicted: d.log.conflicted,
 	}
+	if ts.conflicted {
+		var buf []uint32
+		if prev := d.fused[id]; prev != nil {
+			buf = prev.lookups[:0] // recycle the replaced state's buffer
+		}
+		ts.lookups = append(buf, d.log.lookups...)
+	}
+	d.fused[id] = ts
 	d.rowKeys[id] = d.rowKey(t.Values)
+}
+
+// readsWeights reports whether the tuple's cached outcome depends on its
+// versions' weights. A non-conflicted tuple fuses on the fast path to the
+// union of its versions' values whatever their weights (the weights only
+// form its f-score, which the engine does not keep), so a weight-only move
+// cannot change it. A tuple not fused yet reads everything.
+func (d *DeltaCleaner) readsWeights(id int) bool {
+	ts := d.fused[id]
+	return ts == nil || ts.conflicted
+}
+
+// readsMoved reports whether a conflicted tuple whose versions are unchanged
+// could fuse differently: a domain size at a position its versions cover
+// moved (domMoved, per block), or one of its recorded lookups against a
+// block whose candidates changed (candsMoved) now answers differently.
+func (d *DeltaCleaner) readsMoved(id int, ts *tupleState, domMoved, candsMoved []bool, scratch assignment) bool {
+	for bi, fb := range d.fbs {
+		if domMoved[bi] {
+			if _, ok := fb.Versions[id]; ok {
+				return true
+			}
+		}
+	}
+	return lookupsStale(ts.lookups, d.cands, candsMoved, scratch)
 }
 
 // rowKey interns a fused row into its ID-sequence key. Keys from the
@@ -577,34 +655,6 @@ func (d *DeltaCleaner) rowKey(vals []string) uint32 {
 		d.keyScratch = append(d.keyScratch, d.dedupDict.Intern(v))
 	}
 	return d.dedupDict.Seq(d.keyScratch)
-}
-
-// conflicted mirrors the fuser's pairwise conflict check over the tuple's
-// current versions: true means its fusion reads global state (candidates,
-// domain sizes) and must re-run on every Apply.
-func (d *DeltaCleaner) conflicted(id int) bool {
-	type ver struct {
-		pos []int
-		ids []uint32
-	}
-	var vs []ver
-	for bi, db := range d.blocks {
-		if p, ok := db.fb.Versions[id]; ok {
-			vs = append(vs, ver{pos: d.posPerBlock[bi], ids: p.ValueIDs()})
-		}
-	}
-	for i := 0; i < len(vs); i++ {
-		for j := i + 1; j < len(vs); j++ {
-			for ai, pa := range vs[i].pos {
-				for aj, pb := range vs[j].pos {
-					if pa == pb && vs[i].ids[ai] != vs[j].ids[aj] {
-						return true
-					}
-				}
-			}
-		}
-	}
-	return false
 }
 
 // appliesVals mirrors rulePlan.appliesTo over display values: every rule

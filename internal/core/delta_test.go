@@ -5,12 +5,13 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
-	"mlnclean/internal/dataset"
 	"mlnclean/internal/datagen"
+	"mlnclean/internal/dataset"
 	"mlnclean/internal/errgen"
 	"mlnclean/internal/index"
 	"mlnclean/internal/rules"
@@ -22,12 +23,13 @@ import (
 // piece-weight vector repair attribution reads.
 
 // deltaSeeds mirrors the chaos suites' seed knob so CI's chaos job widens
-// the randomized mutation grid with CHAOS_SEEDS.
-func deltaSeeds(t *testing.T) []int64 {
+// the randomized mutation grid with CHAOS_SEEDS; without it the given
+// defaults run.
+func deltaSeeds(t *testing.T, defaults ...int64) []int64 {
 	t.Helper()
 	env := os.Getenv("CHAOS_SEEDS")
 	if env == "" {
-		return []int64{1, 7}
+		return defaults
 	}
 	var seeds []int64
 	for _, f := range strings.Split(env, ",") {
@@ -47,11 +49,30 @@ func carDirty(t *testing.T, rows int, seed int64) (*dataset.Table, []*rules.Rule
 	if err != nil {
 		t.Fatalf("datagen.CAR: %v", err)
 	}
-	inj, err := errgen.Inject(truth, rs, errgen.Config{Rate: 0.08, ReplacementRatio: 0.5, Seed: seed + 1})
+	return injectDirty(t, truth, rs, 0.08, seed+1), rs
+}
+
+// haiDirty builds a small seeded dirty HAI table: dense (every provider
+// reports 14 measures), seven rules including the DC, 10% cell errors.
+func haiDirty(t *testing.T, rows int, seed int64) (*dataset.Table, []*rules.Rule) {
+	t.Helper()
+	const measures = 14
+	truth, rs, err := datagen.HAI(datagen.HAIConfig{
+		Providers: (rows + measures - 1) / measures, Measures: measures, Rows: rows, Seed: seed,
+	})
+	if err != nil {
+		t.Fatalf("datagen.HAI: %v", err)
+	}
+	return injectDirty(t, truth, rs, 0.10, seed+1), rs
+}
+
+func injectDirty(t *testing.T, truth *dataset.Table, rs []*rules.Rule, rate float64, seed int64) *dataset.Table {
+	t.Helper()
+	inj, err := errgen.Inject(truth, rs, errgen.Config{Rate: rate, ReplacementRatio: 0.5, Seed: seed})
 	if err != nil {
 		t.Fatalf("errgen.Inject: %v", err)
 	}
-	return inj.Dirty, rs
+	return inj.Dirty
 }
 
 // refTable materializes a reference table from an id → values map in the
@@ -135,11 +156,49 @@ func TestDeltaLoadParity(t *testing.T) {
 	assertParity(t, "load", res, eng.Weights(), dirty, rs, Options{})
 }
 
+// assertApply checks one Apply's accounting partitions and its result's
+// parity with a full re-clean of the shadow table.
+func assertApply(t *testing.T, label string, eng *DeltaCleaner, res *Result, ds *DeltaStats,
+	tb *dataset.Table, rs []*rules.Rule, opts Options) {
+	t.Helper()
+	if ds.DirtyBlocks+ds.ReusedBlocks != len(rs) {
+		t.Fatalf("%s: blocks don't partition: %+v", label, ds)
+	}
+	if ds.RefusedTuples+ds.ReusedTuples != eng.Len() {
+		t.Fatalf("%s: tuples don't partition: %+v", label, ds)
+	}
+	if ds.RevalidatedTuples > ds.ReusedTuples {
+		t.Fatalf("%s: more revalidated than reused tuples: %+v", label, ds)
+	}
+	// The incrementally kept domain sizes match a full scan.
+	for p, refs := range eng.valRefs {
+		if refs == nil {
+			continue
+		}
+		seen := make(map[uint32]bool)
+		for _, row := range eng.encRows {
+			seen[row[p]] = true
+		}
+		if eng.domain[p] != len(seen) {
+			t.Fatalf("%s: domain of %s: got %d, want %d", label, eng.schema.Attr(p), eng.domain[p], len(seen))
+		}
+	}
+	assertParity(t, label, res, eng.Weights(), tb, rs, opts)
+}
+
 // TestDeltaMutationSequenceParity is the randomized anchor: K seeded
 // inserts, updates, and deletes applied incrementally, each checked
 // byte-identical against a from-scratch full re-clean of the same table.
+// The CAR runs mix random multi-mutation batches over a sparse table; the
+// hai runs apply one op at a time to a dense table with many conflicted
+// tuples, so re-fusion by read set is exercised op by op.
+//
+// Among the CAR defaults, seeds 4, 11 and 17 each hold a step where a
+// cached fusion goes stale through, in turn, a moved domain size, a
+// conflicted tuple's weight move and a changed replacement lookup, so
+// dropping any of re-fusion's checks fails the default run.
 func TestDeltaMutationSequenceParity(t *testing.T) {
-	for _, seed := range deltaSeeds(t) {
+	for _, seed := range deltaSeeds(t, 1, 4, 7, 11, 17) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			dirty, rs := carDirty(t, 120, seed)
@@ -169,11 +228,13 @@ func TestDeltaMutationSequenceParity(t *testing.T) {
 
 			rng := rand.New(rand.NewSource(seed * 131))
 			deleted := []int{}
+			// Sorted, so a seed replays the same sequence.
 			liveIDs := func() []int {
 				ids := make([]int, 0, len(rows))
 				for id := range rows {
 					ids = append(ids, id)
 				}
+				slices.Sort(ids)
 				return ids
 			}
 			pick := func(ids []int) int { return ids[rng.Intn(len(ids))] }
@@ -220,16 +281,102 @@ func TestDeltaMutationSequenceParity(t *testing.T) {
 				if err != nil {
 					t.Fatalf("step %d: Apply(%v): %v", step, muts, err)
 				}
-				if ds.DirtyBlocks+ds.ReusedBlocks != len(rs) {
-					t.Fatalf("step %d: blocks don't partition: %+v", step, ds)
-				}
-				if ds.RefusedTuples+ds.ReusedTuples != eng.Len() {
-					t.Fatalf("step %d: tuples don't partition: %+v", step, ds)
-				}
-				assertParity(t, fmt.Sprintf("step %d", step), res, eng.Weights(),
+				assertApply(t, fmt.Sprintf("step %d", step), eng, res, ds,
 					refTable(schema, rows), rs, Options{})
 			}
 		})
+	}
+	t.Run("hai", func(t *testing.T) {
+		for _, seed := range deltaSeeds(t, 1, 7) {
+			seed := seed
+			t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) { haiMutationSequence(t, seed) })
+		}
+	})
+}
+
+// haiMutationSequence applies single-op batches to ~400 dense HAI rows at
+// τ=3: typos that mint new values (moving domain sizes), replacements with
+// another row's value, no-op rewrites, inserts and deletes, in a seeded
+// order with every kind equally often. Each op is checked against a full
+// re-clean.
+func haiMutationSequence(t *testing.T, seed int64) {
+	dirty, rs := haiDirty(t, 400, seed)
+	schema := dirty.Schema
+	opts := Options{Tau: 3}
+	eng, err := NewDeltaCleaner(schema, rs, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := eng.Load(dirty); err != nil {
+		t.Fatal(err)
+	}
+	rows := make(map[int][]string, dirty.Len())
+	ids := make([]int, 0, dirty.Len()) // live IDs, any order
+	nextRow := 0
+	for _, tp := range dirty.Tuples {
+		rows[tp.ID] = append([]string(nil), tp.Values...)
+		ids = append(ids, tp.ID)
+		nextRow = max(nextRow, tp.ID+1)
+	}
+	var ruleCols []int
+	for p := 0; p < schema.Len(); p++ {
+		if eng.valRefs[p] != nil {
+			ruleCols = append(ruleCols, p)
+		}
+	}
+
+	const (
+		typo = iota
+		replace
+		rewrite
+		insert
+		del
+		kinds
+	)
+	rng := rand.New(rand.NewSource(seed * 977))
+	order := make([]int, 4*kinds)
+	for i := range order {
+		order[i] = i % kinds
+	}
+	rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
+
+	for step, kind := range order {
+		at := rng.Intn(len(ids))
+		id := ids[at]
+		col := ruleCols[rng.Intn(len(ruleCols))]
+		vals := append([]string(nil), rows[id]...)
+		m := Mutation{Op: DeltaPut, Row: id, Values: vals}
+		switch kind {
+		case typo: // drop one letter: a value no row holds yet
+			if v := vals[col]; len(v) > 1 {
+				i := rng.Intn(len(v))
+				vals[col] = v[:i] + v[i+1:]
+			} else {
+				vals[col] = v + "~"
+			}
+		case replace:
+			vals[col] = rows[ids[rng.Intn(len(ids))]][col]
+		case rewrite:
+		case insert:
+			m.Row = nextRow
+			ids = append(ids, nextRow)
+			nextRow++
+		case del:
+			m = Mutation{Op: DeltaDelete, Row: id}
+			ids[at] = ids[len(ids)-1]
+			ids = ids[:len(ids)-1]
+		}
+		if m.Op == DeltaDelete {
+			delete(rows, m.Row)
+		} else {
+			rows[m.Row] = vals
+		}
+		res, ds, err := eng.Apply([]Mutation{m})
+		if err != nil {
+			t.Fatalf("step %d: Apply: %v", step, err)
+		}
+		assertApply(t, fmt.Sprintf("step %d (kind %d)", step, kind), eng, res, ds,
+			refTable(schema, rows), rs, opts)
 	}
 }
 
@@ -261,6 +408,128 @@ func TestDeltaReuse(t *testing.T) {
 	}
 	if ds.RefusedTuples == 0 {
 		t.Fatalf("the mutated tuple itself must re-fuse, got %+v", ds)
+	}
+}
+
+// TestDeltaRefusionCounts pins how far re-fusion reaches on both fixtures.
+// A no-op rewrite rebuilds no block and re-fuses only the rewritten tuple:
+// every conflicted tuple is revalidated from its recorded reads. The
+// negative control mints a new value in an attribute A, so A's domain size
+// moves: every conflicted tuple whose versions cover A must re-fuse, which
+// keeps the domain-size check from being skipped silently.
+func TestDeltaRefusionCounts(t *testing.T) {
+	car, carRules := carDirty(t, 300, 5)
+	hai, haiRules := haiDirty(t, 400, 3)
+	cases := []struct {
+		name  string
+		dirty *dataset.Table
+		rs    []*rules.Rule
+		opts  Options
+	}{
+		{"car", car, carRules, Options{}},
+		{"hai", hai, haiRules, Options{Tau: 3}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			eng, err := NewDeltaCleaner(tc.dirty.Schema, tc.rs, tc.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := eng.Load(tc.dirty); err != nil {
+				t.Fatal(err)
+			}
+			rows := make(map[int][]string, tc.dirty.Len())
+			for _, tp := range tc.dirty.Tuples {
+				rows[tp.ID] = append([]string(nil), tp.Values...)
+			}
+
+			// No-op rewrite of a non-conflicted tuple.
+			conflicted := 0
+			row := -1
+			for _, tp := range tc.dirty.Tuples {
+				if eng.fused[tp.ID].conflicted {
+					conflicted++
+				} else if row < 0 {
+					row = tp.ID
+				}
+			}
+			if conflicted == 0 || row < 0 {
+				t.Fatalf("fixture needs conflicted and non-conflicted tuples: %d conflicted, clean row %d", conflicted, row)
+			}
+			res, ds, err := eng.Apply([]Mutation{{Op: DeltaPut, Row: row, Values: rows[row]}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ds.DirtyBlocks != 0 || ds.RefusedTuples != 1 || ds.RevalidatedTuples != conflicted {
+				t.Fatalf("no-op rewrite: got %+v, want 0 dirty blocks, 1 re-fused and %d revalidated tuples",
+					ds, conflicted)
+			}
+			assertApply(t, "rewrite", eng, res, ds, refTable(tc.dirty.Schema, rows), tc.rs, tc.opts)
+
+			// Negative control: A is the rule attribute the most conflicted
+			// tuples cover; the typo lands on a row whose A value another row
+			// shares, so the new value grows A's domain by one.
+			covers := func(id, p int) bool {
+				for bi, fb := range eng.fbs {
+					if _, ok := fb.Versions[id]; ok && slices.Contains(eng.posPerBlock[bi], p) {
+						return true
+					}
+				}
+				return false
+			}
+			attr, best := -1, 0
+			for p, refs := range eng.valRefs {
+				if refs == nil {
+					continue
+				}
+				n := 0
+				for id, ts := range eng.fused {
+					if ts.conflicted && covers(id, p) {
+						n++
+					}
+				}
+				if n > best {
+					attr, best = p, n
+				}
+			}
+			target := -1
+			for _, tp := range tc.dirty.Tuples {
+				if eng.valRefs[attr][eng.encRows[eng.rowPos[tp.ID]][attr]] > 1 {
+					target = tp.ID
+					break
+				}
+			}
+			if attr < 0 || target < 0 {
+				t.Fatalf("no attribute with conflicted coverage and a shared value")
+			}
+			before := make(map[int]*tupleState)
+			for id, ts := range eng.fused {
+				if ts.conflicted && covers(id, attr) {
+					before[id] = ts
+				}
+			}
+			domain := eng.domain[attr]
+			vals := append([]string(nil), rows[target]...)
+			vals[attr] = "delta-typo-" + vals[attr]
+			rows[target] = vals
+			res, ds, err = eng.Apply([]Mutation{{Op: DeltaPut, Row: target, Values: vals}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if eng.domain[attr] != domain+1 {
+				t.Fatalf("domain of %s: got %d, want %d", tc.dirty.Schema.Attr(attr), eng.domain[attr], domain+1)
+			}
+			for id, ts := range before {
+				if eng.fused[id] == ts {
+					t.Fatalf("conflicted tuple %d covers %s but kept its fusion after the domain moved",
+						id, tc.dirty.Schema.Attr(attr))
+				}
+			}
+			if ds.RefusedTuples < len(before) {
+				t.Fatalf("typo: %d re-fused tuples, want at least the %d covering conflicted ones", ds.RefusedTuples, len(before))
+			}
+			assertApply(t, "typo", eng, res, ds, refTable(tc.dirty.Schema, rows), tc.rs, tc.opts)
+		})
 	}
 }
 

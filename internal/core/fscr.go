@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -170,6 +171,15 @@ func buildBlockCands(fb *FusionBlock, pos []int) *blockCands {
 // candidate identified by excludeKid. Compatibility: the candidate agrees
 // with merged on every attribute of this block merged pins.
 func (bc *blockCands) find(merged assignment, excludeKid uint32) (candEntry, bool) {
+	if i := bc.findIdx(merged, excludeKid); i >= 0 {
+		return bc.all[i], true
+	}
+	return candEntry{}, false
+}
+
+// findIdx is find returning the candidate's index in all, or -1. It reads
+// merged only at the block's attrs.
+func (bc *blockCands) findIdx(merged assignment, excludeKid uint32) int {
 	// Choose the shortest posting list among pinned attributes.
 	bestList := -1
 	var list []int32
@@ -197,18 +207,150 @@ func (bc *blockCands) find(merged assignment, excludeKid uint32) (candEntry, boo
 	}
 	if bestList >= 0 {
 		for _, i := range list {
-			if c := bc.all[i]; check(c) {
-				return c, true
+			if check(bc.all[i]) {
+				return int(i)
 			}
+		}
+		return -1
+	}
+	for i, c := range bc.all {
+		if check(c) {
+			return i
+		}
+	}
+	return -1
+}
+
+// readLog is the optional sink a fusion records its reads into. Beyond its
+// own versions, its dirty row and the domain sizes at the positions those
+// versions cover, a fusion reads only the answers of its replacement
+// lookups, and only on the conflict path. The delta engine keeps each
+// tuple's lookups and replays them against rebuilt candidate lists to tell
+// whether the fusion could come out differently; the batch path passes no
+// sink and records nothing.
+type readLog struct {
+	// conflicted is set when the fusion left the fast path (some pair of
+	// versions disagreed), the only path that performs lookups.
+	conflicted bool
+	// lookups packs one record per distinct lookup into one flat buffer:
+	// block index, excluded kid, answer index into the block's candidates
+	// plus one (0 = none), answer kid, answer weight as two 32-bit halves,
+	// then the value IDs the fusion had pinned on the block's attrs
+	// (unsetID where unpinned). A record for block bi is
+	// lookupHeader+len(pos of bi) words long.
+	lookups []uint32
+	// seen maps a record's hash to its offset in lookups, so a lookup the
+	// permutation search repeats is answered from its record instead of
+	// being searched and recorded again.
+	seen map[uint64]int32
+}
+
+const lookupHeader = 6
+
+func (l *readLog) reset() {
+	l.conflicted = false
+	l.lookups = l.lookups[:0]
+	if len(l.seen) > 0 {
+		clear(l.seen)
+	}
+}
+
+// find is bc.find for block bi, answered from an earlier identical lookup
+// of the same fusion when there is one and recorded otherwise.
+func (l *readLog) find(bi int, bc *blockCands, merged assignment, excludeKid uint32) (candEntry, bool) {
+	h := (uint64(bi)<<32 | uint64(excludeKid)) * 0x9e3779b97f4a7c15
+	for _, p := range bc.pos {
+		h = (h ^ uint64(merged[p])) * 0x100000001b3
+	}
+	if off, ok := l.seen[h]; ok && sameLookup(l.lookups[off:], bi, bc, merged, excludeKid) {
+		if ci := l.lookups[off+2]; ci > 0 {
+			return bc.all[ci-1], true
 		}
 		return candEntry{}, false
 	}
-	for _, c := range bc.all {
-		if check(c) {
-			return c, true
+	ci := bc.findIdx(merged, excludeKid)
+	var ans candEntry
+	if ci >= 0 {
+		ans = bc.all[ci]
+	}
+	w := math.Float64bits(ans.weight)
+	off := len(l.lookups)
+	l.lookups = append(l.lookups, uint32(bi), excludeKid, uint32(ci+1), ans.kid, uint32(w), uint32(w>>32))
+	for _, p := range bc.pos {
+		l.lookups = append(l.lookups, merged[p])
+	}
+	if l.seen == nil {
+		l.seen = make(map[uint64]int32)
+	}
+	if _, taken := l.seen[h]; !taken {
+		l.seen[h] = int32(off)
+	}
+	return ans, ci >= 0
+}
+
+// sameLookup reports whether rec records the lookup (bi, merged on bc's
+// attrs, excludeKid) — the guard against hash collisions.
+func sameLookup(rec []uint32, bi int, bc *blockCands, merged assignment, excludeKid uint32) bool {
+	if rec[0] != uint32(bi) || rec[1] != excludeKid {
+		return false
+	}
+	for i, p := range bc.pos {
+		if rec[lookupHeader+i] != merged[p] {
+			return false
 		}
 	}
-	return candEntry{}, false
+	return true
+}
+
+// lookupsStale replays recorded lookups against the blocks whose candidates
+// moved (moved[bi]) and reports whether any would now answer differently
+// (found or not, answer kid, answer weight). scratch is an all-unset
+// assignment of schema width; it is restored before return.
+func lookupsStale(lookups []uint32, cands []*blockCands, moved []bool, scratch assignment) bool {
+	for len(lookups) > 0 {
+		bi := int(lookups[0])
+		bc := cands[bi]
+		n := lookupHeader + len(bc.pos)
+		rec := lookups[:n]
+		lookups = lookups[n:]
+		if !moved[bi] {
+			continue
+		}
+		for i, p := range bc.pos {
+			scratch[p] = rec[lookupHeader+i]
+		}
+		ci := bc.findIdx(scratch, rec[1])
+		for _, p := range bc.pos {
+			scratch[p] = unsetID
+		}
+		if (ci >= 0) != (rec[2] > 0) {
+			return true
+		}
+		if ci >= 0 {
+			c := &bc.all[ci]
+			w := math.Float64bits(c.weight)
+			if c.kid != rec[3] || uint32(w) != rec[4] || uint32(w>>32) != rec[5] {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// sameAs reports whether two candidate lists are entry-for-entry identical
+// (kid and weight; a kid fixes the value IDs and the display key), in
+// which case every lookup against them answers the same.
+func (bc *blockCands) sameAs(o *blockCands) bool {
+	if len(bc.all) != len(o.all) {
+		return false
+	}
+	for i := range bc.all {
+		a, b := &bc.all[i], &o.all[i]
+		if a.kid != b.kid || math.Float64bits(a.weight) != math.Float64bits(b.weight) {
+			return false
+		}
+	}
+	return true
 }
 
 // fscr runs fusion-score conflict resolution (Alg. 2) over the whole table,
@@ -320,7 +462,7 @@ func RunFSCREncoded(dirty *dataset.Table, enc *dataset.Encoded, blocks []*Fusion
 			localChanges, localFailures := 0, 0
 			for i := lo; i < hi; i++ {
 				c, f := fuseTuple(repaired.Tuples[i], enc.Rows[i], dict, schema,
-					blocks, posPerBlock, candidates, domainSize, opts)
+					blocks, posPerBlock, candidates, domainSize, opts, nil)
 				localChanges += c
 				if f {
 					localFailures++
@@ -343,10 +485,13 @@ func RunFSCREncoded(dirty *dataset.Table, enc *dataset.Encoded, blocks []*Fusion
 // fuseTuple runs the fusion for one tuple, applying the winning assignment
 // in place. dirtyRow is the tuple's observed values as IDs in the blocks'
 // dictionary. Returns the number of changed cells and whether fusion
-// failed.
+// failed. A non-nil reads is reset and then records what the fusion read.
 func fuseTuple(t *dataset.Tuple, dirtyRow []uint32, dict *intern.Dict, schema *dataset.Schema,
 	blocks []*FusionBlock, posPerBlock [][]int, candidates []*blockCands,
-	domainSize []int, opts Options) (int, bool) {
+	domainSize []int, opts Options, reads *readLog) (int, bool) {
+	if reads != nil {
+		reads.reset()
+	}
 	var versions []version
 	for bi, fb := range blocks {
 		p, ok := fb.Versions[t.ID]
@@ -371,6 +516,7 @@ func fuseTuple(t *dataset.Tuple, dirtyRow []uint32, dict *intern.Dict, schema *d
 	f.dirtyRow = dirtyRow
 	f.dict = dict
 	f.schema = schema
+	f.reads = reads
 	best, fscore, conflictPos := f.run()
 
 	outcome := FusionOutcome{TupleID: t.ID, FScore: fscore}
@@ -411,6 +557,8 @@ type fuser struct {
 	domainSize []int
 	dict       *intern.Dict
 	schema     *dataset.Schema
+	// reads, when set, records the conflict path's lookups.
+	reads *readLog
 
 	states    int
 	visited   map[string]float64 // state key → best f reaching it
@@ -489,6 +637,9 @@ func (f *fuser) run() (assignment, float64, []int) {
 		return merged, score, nil
 	}
 
+	if f.reads != nil {
+		f.reads.conflicted = true
+	}
 	for i := range f.versions {
 		v := f.versions[i]
 		merged := newAssignment(f.width)
@@ -555,7 +706,13 @@ func (f *fuser) extend(merged assignment, fscore float64, mask int) {
 			}
 			// Replacement: highest-weight piece from block Bj that does not
 			// conflict with the fusion so far.
-			repl, ok := f.candidates[vj.blockIdx].find(merged, vj.kid)
+			var repl candEntry
+			var ok bool
+			if bc := f.candidates[vj.blockIdx]; f.reads != nil {
+				repl, ok = f.reads.find(vj.blockIdx, bc, merged, vj.kid)
+			} else {
+				repl, ok = bc.find(merged, vj.kid)
+			}
 			if !ok {
 				// A CFD version is conditional: when the fusion so far
 				// contradicts the pattern constants, the rule simply no

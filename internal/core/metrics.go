@@ -58,6 +58,8 @@ var (
 		"Tuples re-fused by incremental applies.")
 	mDeltaReusedTuples = obs.Default().Counter("mlnclean_core_delta_reused_tuples_total",
 		"Tuples whose cached fusion outcome incremental applies reused.")
+	mDeltaRevalidatedTuples = obs.Default().Counter("mlnclean_core_delta_revalidated_tuples_total",
+		"Conflicted tuples whose cached fusion outcome incremental applies kept after re-checking their recorded reads.")
 	mDeltaSeconds = obs.Default().Histogram("mlnclean_core_delta_apply_seconds",
 		"Wall time of one incremental mutation batch, mutation to new result.", obs.DefBuckets)
 

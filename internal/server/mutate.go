@@ -99,7 +99,8 @@ func (s *Session) Mutate(op string, row int, values []string) (int, *versionEntr
 	slog.Info("server: tuple mutation applied",
 		"session", s.ID, "run", s.runID, "op", op, "row", row, "version", version,
 		"dirty_blocks", entry.delta.DirtyBlocks, "reused_blocks", entry.delta.ReusedBlocks,
-		"refused_tuples", entry.delta.RefusedTuples, "reused_tuples", entry.delta.ReusedTuples)
+		"refused_tuples", entry.delta.RefusedTuples, "reused_tuples", entry.delta.ReusedTuples,
+		"revalidated_tuples", entry.delta.RevalidatedTuples)
 	return version, entry, nil
 }
 
