@@ -15,14 +15,11 @@
 //     it, failing the PR's bench-smoke job. -fail-over 0 disables the gate
 //     (the CI override knob — see the README's CI section).
 //
-// The memory comparison uses the same threshold but its own noise floor
-// (-min-heap): peak heap is far more stable than wall-clock, but tiny
-// experiments sit close to the GC floor where ratios are meaningless.
-// Baselines written before memory annotation (no peak_heap_bytes) simply
-// skip the memory check per experiment.
-//
-// The legacy -fail/-threshold pair still works; -fail-over is the
-// one-flag spelling CI wires up.
+// Advisory runs warn beyond a fixed 30%. The memory comparison uses the
+// same threshold but its own noise floor (-min-heap): peak heap is far more
+// stable than wall-clock, but tiny experiments sit close to the GC floor
+// where ratios are meaningless. Baselines written before memory annotation
+// (no peak_heap_bytes) simply skip the memory check per experiment.
 package main
 
 import (
@@ -67,20 +64,22 @@ func load(path string) (map[string]sample, string, error) {
 
 func mib(b uint64) float64 { return float64(b) / (1 << 20) }
 
+// advisoryThreshold is the warning ratio when no -fail-over gate is set.
+const advisoryThreshold = 0.30
+
 func main() {
 	var (
-		baseline  = flag.String("baseline", "BENCH_PR10.json", "committed baseline document")
-		current   = flag.String("current", "", "freshly generated document")
-		threshold = flag.Float64("threshold", 0.30, "relative slowdown / heap growth that triggers a warning")
-		minMS     = flag.Int64("min-ms", 50, "ignore elapsed-time changes on experiments faster than this in the baseline (noise)")
-		minHeap   = flag.Int64("min-heap", 8<<20, "ignore peak-heap changes on experiments below this many bytes in the baseline (GC floor)")
-		fail      = flag.Bool("fail", false, "exit 1 when a regression is found")
-		failOver  = flag.Float64("fail-over", 0, "gate mode: exit 1 when any experiment regressed beyond this ratio (0 disables the gate)")
+		baseline = flag.String("baseline", "BENCH_PR10.json", "committed baseline document")
+		current  = flag.String("current", "", "freshly generated document")
+		minMS    = flag.Int64("min-ms", 50, "ignore elapsed-time changes on experiments faster than this in the baseline (noise)")
+		minHeap  = flag.Int64("min-heap", 8<<20, "ignore peak-heap changes on experiments below this many bytes in the baseline (GC floor)")
+		failOver = flag.Float64("fail-over", 0, "gate mode: exit 1 when any experiment regressed beyond this ratio (0 disables the gate and warns beyond 30%)")
 	)
 	flag.Parse()
-	if *failOver > 0 {
-		*threshold = *failOver
-		*fail = true
+	threshold := advisoryThreshold
+	fail := *failOver > 0
+	if fail {
+		threshold = *failOver
 	}
 	if *current == "" {
 		fmt.Fprintln(os.Stderr, "benchdiff: -current is required")
@@ -117,21 +116,21 @@ func main() {
 			ratio = float64(c.elapsedMS-b.elapsedMS) / float64(b.elapsedMS)
 		}
 		status := "ok"
-		if b.elapsedMS >= *minMS && ratio > *threshold {
+		if b.elapsedMS >= *minMS && ratio > threshold {
 			status = "REGRESSED"
 			regressions++
 			fmt.Printf("::warning::bench regression: %s %dms → %dms (%+.0f%%, threshold %.0f%%)\n",
-				name, b.elapsedMS, c.elapsedMS, ratio*100, *threshold*100)
+				name, b.elapsedMS, c.elapsedMS, ratio*100, threshold*100)
 		}
 		memCol := "      (no mem baseline)"
 		if b.peakHeap > 0 && c.peakHeap > 0 {
 			memRatio := float64(int64(c.peakHeap)-int64(b.peakHeap)) / float64(b.peakHeap)
 			memStatus := ""
-			if b.peakHeap >= uint64(*minHeap) && memRatio > *threshold {
+			if b.peakHeap >= uint64(*minHeap) && memRatio > threshold {
 				memStatus = "  MEM-REGRESSED"
 				regressions++
 				fmt.Printf("::warning::bench memory regression: %s %.1fMiB → %.1fMiB peak heap (%+.0f%%, threshold %.0f%%)\n",
-					name, mib(b.peakHeap), mib(c.peakHeap), memRatio*100, *threshold*100)
+					name, mib(b.peakHeap), mib(c.peakHeap), memRatio*100, threshold*100)
 			}
 			memCol = fmt.Sprintf("%6.1fMiB → %6.1fMiB  %+6.1f%%%s", mib(b.peakHeap), mib(c.peakHeap), memRatio*100, memStatus)
 		}
@@ -149,9 +148,9 @@ func main() {
 		fmt.Printf("%-24s new experiment (%dms, %.1fMiB peak), not in baseline\n",
 			name, cur[name].elapsedMS, mib(cur[name].peakHeap))
 	}
-	fmt.Printf("benchdiff: %d regression(s) across %d experiments beyond %.0f%%\n", regressions, len(names), *threshold*100)
-	if *fail && regressions > 0 {
-		fmt.Printf("::error::benchdiff gate: %d regression(s) beyond %.0f%%\n", regressions, *threshold*100)
+	fmt.Printf("benchdiff: %d regression(s) across %d experiments beyond %.0f%%\n", regressions, len(names), threshold*100)
+	if fail && regressions > 0 {
+		fmt.Printf("::error::benchdiff gate: %d regression(s) beyond %.0f%%\n", regressions, threshold*100)
 		os.Exit(1)
 	}
 }

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"mlnclean/internal/core"
 	"mlnclean/internal/dataset"
+	"mlnclean/internal/rules"
 )
 
 // TestRunEndToEnd drives the CLI's run function over the paper's Table 1
@@ -53,13 +55,11 @@ func TestRunEndToEnd(t *testing.T) {
 	}
 }
 
-// TestRunMaterializeParity runs the CLI once through the streaming default
-// and once through the -materialize escape hatch. Solo the two must produce
-// identical output files. Distributed they may differ — -materialize also
-// swaps the online streaming partitioner for the exact Algorithm 3, and
-// partition boundaries shape the per-worker cleaning — but each mode must be
-// deterministic: the same invocation twice gives the same bytes.
-func TestRunMaterializeParity(t *testing.T) {
+// TestRunDeterminism runs the CLI solo and distributed, each twice: the same
+// invocation must give the same bytes. Solo, the output must also equal
+// core.Clean over the table read whole, so the chunked ingest the CLI
+// streams through changes nothing.
+func TestRunDeterminism(t *testing.T) {
 	dir := t.TempDir()
 	input := filepath.Join(dir, "dirty.csv")
 	rulesPath := filepath.Join(dir, "rules.txt")
@@ -83,16 +83,15 @@ func TestRunMaterializeParity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	render := func(workers int, materialize bool, out string) string {
+	render := func(workers int, out string) string {
 		t.Helper()
 		cfg := runConfig{
 			input: input, rulesPath: rulesPath, output: out,
 			tau: 1, metricName: "levenshtein",
 			workers: workers, transport: "chan", batchSize: 2, seed: 1,
-			materialize: materialize,
 		}
 		if err := run(cfg); err != nil {
-			t.Fatalf("run (workers=%d, materialize=%v): %v", workers, materialize, err)
+			t.Fatalf("run (workers=%d): %v", workers, err)
 		}
 		b, err := os.ReadFile(out)
 		if err != nil {
@@ -102,16 +101,27 @@ func TestRunMaterializeParity(t *testing.T) {
 	}
 	out := filepath.Join(dir, "out.csv")
 	for _, workers := range []int{1, 2} {
-		stream := render(workers, false, out)
-		if again := render(workers, false, out); again != stream {
-			t.Errorf("workers=%d: streaming run is nondeterministic", workers)
+		first := render(workers, out)
+		if again := render(workers, out); again != first {
+			t.Errorf("workers=%d: run is nondeterministic", workers)
 		}
-		mat := render(workers, true, out)
-		if again := render(workers, true, out); again != mat {
-			t.Errorf("workers=%d: materialized run is nondeterministic", workers)
+		if workers > 1 {
+			continue
 		}
-		if workers == 1 && stream != mat {
-			t.Errorf("solo: streaming and -materialize outputs differ:\nstream:\n%s\nmat:\n%s", stream, mat)
+		dirty, err := dataset.ReadCSVFile(input)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := core.Clean(dirty, rules.MustParseStrings(strings.Split(rulesText, "\n")...), core.Options{Tau: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		if err := res.Clean.WriteCSV(&want); err != nil {
+			t.Fatal(err)
+		}
+		if first != want.String() {
+			t.Errorf("solo CLI output differs from core.Clean:\ncli:\n%s\nclean:\n%s", first, want.String())
 		}
 	}
 }

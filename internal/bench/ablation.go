@@ -1,14 +1,11 @@
 package bench
 
 import (
-	"context"
-	"fmt"
 	"time"
 
 	"mlnclean/internal/core"
 	"mlnclean/internal/distributed"
 	"mlnclean/internal/eval"
-	"mlnclean/internal/index"
 )
 
 // The ablation experiments quantify the documented interpretation choices
@@ -155,82 +152,5 @@ func AblationAGPStrategy(sc Scale) (*Report, error) {
 	}
 	r.Notes = append(r.Notes,
 		"support bias prefers well-supported merge targets among comparably close groups (§8 future work)")
-	return r, nil
-}
-
-// AblationPlanner compares stage I (index construction + AGP, the phases
-// whose scan order the selectivity planner controls) with the planner on
-// and off — and verifies, every time it runs, that the two runs repair the
-// table identically: the planner reorders work, never outcomes.
-func AblationPlanner(sc Scale) (*Report, error) {
-	r := &Report{
-		Name:    "ablation-planner",
-		Title:   "Ablation: selectivity-driven rule planner (5% errors)",
-		Columns: []string{"dataset", "stage-I planned", "stage-I fixed", "plan"},
-	}
-	const reps = 3
-	for _, dsName := range []string{"car", "hai"} {
-		ds, err := sc.Generate(dsName)
-		if err != nil {
-			return nil, err
-		}
-		inj, err := injectFor(ds, sc, 0.05, 0.5)
-		if err != nil {
-			return nil, err
-		}
-		stageI := func(fixed bool) (time.Duration, error) {
-			opts := core.Options{Tau: ds.Tau, DisablePlanner: fixed}
-			var total time.Duration
-			for i := 0; i < reps; i++ {
-				t0 := time.Now()
-				ix, err := index.BuildConfigured(inj.Dirty, ds.Rules, index.BuildConfig{FixedOrder: fixed})
-				if err != nil {
-					return 0, err
-				}
-				var st core.Stats
-				if err := core.StageAGP(context.Background(), ix, opts, &st); err != nil {
-					return 0, err
-				}
-				total += time.Since(t0)
-			}
-			return total / reps, nil
-		}
-		planned, err := stageI(false)
-		if err != nil {
-			return nil, err
-		}
-		fixed, err := stageI(true)
-		if err != nil {
-			return nil, err
-		}
-		// Outcome invariance check: end-to-end repairs must be identical.
-		resP, err := core.Clean(inj.Dirty, ds.Rules, core.Options{Tau: ds.Tau})
-		if err != nil {
-			return nil, err
-		}
-		resF, err := core.Clean(inj.Dirty, ds.Rules, core.Options{Tau: ds.Tau, DisablePlanner: true})
-		if err != nil {
-			return nil, err
-		}
-		for i, t := range resP.Repaired.Tuples {
-			ft := resF.Repaired.Tuples[i]
-			for j, v := range t.Values {
-				if v != ft.Values[j] {
-					return nil, fmt.Errorf("bench: planner changed repairs on %s (tuple %d attr %d: %q vs %q)",
-						dsName, t.ID, j, v, ft.Values[j])
-				}
-			}
-		}
-		scans := ""
-		for i, c := range resP.Index.Plan().Choices() {
-			if i > 0 {
-				scans += " "
-			}
-			scans += c.Scan
-		}
-		r.AddRow(dsName, planned.Round(time.Millisecond).String(), fixed.Round(time.Millisecond).String(), scans)
-	}
-	r.Notes = append(r.Notes,
-		"planned and fixed-order runs are verified byte-identical on every execution of this experiment")
 	return r, nil
 }

@@ -75,20 +75,16 @@ func MeasureMem(fn func() error) (MemProfile, error) {
 // acceptance target.
 var streamMemoryMults = []int{1, 4, 10}
 
-// StreamMemory measures the stage-I working set of the streaming pipeline
-// against the materialized escape hatch across growing CAR tables: the
-// streaming peak should grow sublinearly in the table (dictionary + a
-// bounded window of in-flight blocks), while the materialized peak carries
-// every block's full pre-RSC piece set at once.
+// StreamMemory measures the peak heap and wall time of a full clean across
+// growing CAR tables.
 func StreamMemory(sc Scale) (*Report, error) {
 	r := &Report{
 		Name:    "stream-memory",
 		Title:   "Streaming pipeline peak heap vs table size (CAR)",
-		Columns: []string{"rows", "stream-peak", "stream-ms", "mat-peak", "mat-ms"},
+		Columns: []string{"rows", "stream-peak", "stream-ms"},
 		Notes: []string{
 			"peak heap = ReadMemStats HeapAlloc high-water, 2ms sampler, GC-settled floor",
-			"stream = default pipeline (block iterator, fused AGP/learn/RSC); mat = Options.Materialize",
-			"the input table is resident in both modes; streaming bounds the pipeline working set on top of it",
+			"stream = the stage-I pipeline (block iterator, fused AGP/learn/RSC); the input table is resident",
 		},
 	}
 	for _, mult := range streamMemoryMults {
@@ -101,25 +97,16 @@ func StreamMemory(sc Scale) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		profile := func(materialize bool) (MemProfile, time.Duration, error) {
-			start := time.Now()
-			mp, err := MeasureMem(func() error {
-				_, err := core.Clean(inj.Dirty, rs, core.Options{Tau: sc.CARTau, Materialize: materialize})
-				return err
-			})
-			return mp, time.Since(start), err
-		}
-		smp, sdur, err := profile(false)
-		if err != nil {
-			return nil, err
-		}
-		mmp, mdur, err := profile(true)
+		start := time.Now()
+		mp, err := MeasureMem(func() error {
+			_, err := core.Clean(inj.Dirty, rs, core.Options{Tau: sc.CARTau})
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
 		r.AddRow(fmt.Sprintf("%d", rows),
-			fmtBytes(smp.PeakHeapBytes), fmt.Sprintf("%d", sdur.Milliseconds()),
-			fmtBytes(mmp.PeakHeapBytes), fmt.Sprintf("%d", mdur.Milliseconds()))
+			fmtBytes(mp.PeakHeapBytes), fmt.Sprintf("%d", time.Since(start).Milliseconds()))
 	}
 	return r, nil
 }

@@ -43,13 +43,11 @@ func TestMeasureMem(t *testing.T) {
 //
 // A strictly sublinear absolute peak is not on the table here: the dirty
 // input and the repaired/clean outputs are resident tables, so the peak has
-// a linear floor by construction. What streaming bounds is everything above
-// that floor (raw ingest buffers, the materialized all-blocks index), and
-// what this test pins is that the bound holds — nothing in the pipeline
-// (memo tables, piece states, posting retention) grows superlinearly. GOGC
-// is lowered during the measurement so the sampled high-water tracks the
-// live set instead of the collector's overshoot, which otherwise scales
-// with heap size and drowns the comparison.
+// a linear floor by construction. What this test pins is that nothing in
+// the pipeline (memo tables, piece states, posting retention) grows
+// superlinearly. GOGC is lowered during the measurement so the sampled
+// high-water tracks the live set instead of the collector's overshoot,
+// which otherwise scales with heap size and drowns the comparison.
 func TestBoundedMemoryStreaming(t *testing.T) {
 	if testing.Short() {
 		t.Skip("10× default-scale clean; skipped in -short")

@@ -2,14 +2,13 @@ package bench
 
 // Planner benchmarks: the cost of planning itself (it must be negligible —
 // the whole point of reusing the encode-time dictionary counters is that no
-// stats-collection pass runs) and the planned-vs-fixed stage-I comparison
-// that justifies the planner's existence. Run with
+// stats-collection pass runs) and the planned stage I it schedules. Run with
 //
 //	go test -run '^$' -bench Planner -benchmem ./internal/bench
 //
-// The comparison uses the car dataset: its multi-attribute FDs (Model,
-// Type -> Make) and constant CFD (Make=acura, ...) are the shapes the
-// planner rewrites; hai's single-attribute FDs are deliberate no-ops.
+// The car dataset's multi-attribute FDs (Model, Type -> Make) and constant
+// CFD (Make=acura, ...) are the shapes the planner rewrites; hai's
+// single-attribute FDs are deliberate no-ops.
 
 import (
 	"context"
@@ -41,37 +40,27 @@ func BenchmarkPlannerPlan(b *testing.B) {
 	}
 }
 
-// BenchmarkPlannerStageI is the planned-vs-fixed comparison: index build
-// plus AGP (the phases whose scan order the planner controls) with the
-// selectivity planner on and off. The planned/car ÷ fixed/car ratio is the
-// win the plan dump claims.
+// BenchmarkPlannerStageI times the planned index build plus AGP, the
+// phases whose scan order the planner controls.
 func BenchmarkPlannerStageI(b *testing.B) {
-	for _, mode := range []struct {
-		name  string
-		fixed bool
-	}{{"planned", false}, {"fixed", true}} {
-		b.Run(mode.name, func(b *testing.B) {
-			for _, name := range []string{"hai", "car"} {
-				b.Run(name, func(b *testing.B) {
-					dirty, rs, tau := pipelineInput(b, name)
-					opts := benchOpts(tau)
-					opts.DisablePlanner = mode.fixed
-					ctx := context.Background()
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						ix, err := index.BuildConfigured(dirty, rs, index.BuildConfig{FixedOrder: mode.fixed})
-						if err != nil {
-							b.Fatal(err)
-						}
-						var st core.Stats
-						if err := core.StageAGP(ctx, ix, opts, &st); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.ReportMetric(float64(dirty.Len())*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
-				})
+	for _, name := range []string{"hai", "car"} {
+		b.Run(name, func(b *testing.B) {
+			dirty, rs, tau := pipelineInput(b, name)
+			opts := benchOpts(tau)
+			ctx := context.Background()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				ix, err := index.BuildConfigured(dirty, rs, index.BuildConfig{})
+				if err != nil {
+					b.Fatal(err)
+				}
+				var st core.Stats
+				if err := core.StageAGP(ctx, ix, opts, &st); err != nil {
+					b.Fatal(err)
+				}
 			}
+			b.ReportMetric(float64(dirty.Len())*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
 		})
 	}
 }

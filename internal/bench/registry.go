@@ -47,8 +47,7 @@ func buildRegistry() map[string]Experiment {
 	add("ablation-mergecap", "AGP merge-distance cap vs unconditional merge", AblationMergeCap)
 	add("ablation-weightmerge", "Eq. 6 weight merge on vs off (distributed)", AblationWeightMerge)
 	add("ablation-agp", "AGP merge-target strategy: nearest vs support-biased", AblationAGPStrategy)
-	add("ablation-planner", "selectivity-driven rule planner on vs off (stage I)", AblationPlanner)
-	add("stream-memory", "streaming vs materialized peak heap across table growth", StreamMemory)
+	add("stream-memory", "streaming pipeline peak heap across table growth", StreamMemory)
 	add("incremental", "incremental delta re-clean vs full re-clean (CAR)", Incremental)
 	return reg
 }

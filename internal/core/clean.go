@@ -62,43 +62,17 @@ func CleanEncoded(ctx context.Context, dirty *dataset.Table, enc *dataset.Encode
 		return nil, fmt.Errorf("core: empty input table")
 	}
 	st := Stats{Tuples: dirty.Len()}
-	var ix *index.Index
-	if opts.Materialize {
-		// Escape hatch: full index first, then one block-parallel pass per
-		// stage — the pre-streaming pipeline, kept for comparison.
-		var err error
-		ix, err = index.BuildConfigured(dirty, rs, index.BuildConfig{FixedOrder: opts.DisablePlanner, Encoded: enc})
-		if err != nil {
-			return nil, err
-		}
-		// Record why the planner ordered evaluation the way it did; the CLI
-		// and /v1/stats surface these lines.
-		opts.Trace.SetPlan(ix.Plan().Choices())
-		mCleans.Inc()
-		mTuples.Add(int64(dirty.Len()))
-
-		// Stage I: clean each block's data version independently (§5.1).
-		if err := StageAGP(ctx, ix, opts, &st); err != nil {
-			return nil, err
-		}
-		if err := StageLearn(ctx, ix, opts, &st); err != nil {
-			return nil, err
-		}
-		if err := StageRSC(ctx, ix, opts, &st); err != nil {
-			return nil, err
-		}
-	} else {
-		// Default: stream blocks from the iterator through the fused
-		// AGP → learn → RSC workers; memory stays bounded by the window of
-		// in-flight blocks instead of every block's full piece set.
-		var err error
-		ix, err = streamStageI(ctx, dirty, enc, rs, opts, &st)
-		if err != nil {
-			return nil, err
-		}
-		mCleans.Inc()
-		mTuples.Add(int64(dirty.Len()))
+	// Stage I: stream blocks from the iterator through the fused
+	// AGP → learn → RSC workers (§5.1), each block cleaned independently.
+	ix, err := StreamStageI(ctx, dirty, enc, rs, opts, &st, ThroughRSC)
+	if err != nil {
+		return nil, err
 	}
+	// Record why the planner ordered evaluation the way it did; the CLI and
+	// /v1/stats surface these lines.
+	opts.Trace.SetPlan(ix.Plan().Choices())
+	mCleans.Inc()
+	mTuples.Add(int64(dirty.Len()))
 	st.Blocks = len(ix.Blocks)
 	for _, b := range ix.Blocks {
 		st.Groups += len(b.Groups)

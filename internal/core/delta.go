@@ -171,8 +171,8 @@ type DeltaCleaner struct {
 }
 
 // NewDeltaCleaner prepares an engine for the schema and rule set. Options
-// follow Clean's defaults; Trace and Materialize are ignored (the engine is
-// its own pipeline shape), and fusion runs with the same τ, metric, priors,
+// follow Clean's defaults; Trace is ignored (the engine is its own pipeline
+// shape), and fusion runs with the same τ, metric, priors,
 // and duplicate handling as the batch run it must stay byte-identical to.
 func NewDeltaCleaner(schema *dataset.Schema, rs []*rules.Rule, opts Options) (*DeltaCleaner, error) {
 	if schema == nil || schema.Len() == 0 {

@@ -151,34 +151,36 @@ type parityGolden struct {
 	FSCR       []FusionOutcome
 }
 
-// runParityCase executes the pipeline for one configuration and canonicalizes
-// the trace (block-parallel stages append in nondeterministic order; sorting
-// by stable per-phase identities restores a canonical view).
-func runParityCase(t *testing.T, cfg parityConfig) parityGolden {
-	return runParityCaseMode(t, cfg, false)
-}
-
-// runParityCaseMode is runParityCase with the pipeline mode explicit:
-// materialize=false is the streaming default, materialize=true the
-// slurp-then-clean escape hatch. Both must match the goldens and each other.
-func runParityCaseMode(t *testing.T, cfg parityConfig, materialize bool) parityGolden {
-	t.Helper()
-	dirty := parityTable(cfg)
-	rs := parityRules(parityCityPool[0])
+// parityOptions returns the pipeline options of one configuration, with a
+// fresh Trace attached.
+func parityOptions(cfg parityConfig) (Options, *Trace) {
 	tr := &Trace{}
-	opts := Options{
+	return Options{
 		Tau:         cfg.Tau,
 		TauSet:      true,
 		Metric:      distance.ByName(cfg.Metric),
 		AGPStrategy: cfg.Strategy,
 		Trace:       tr,
-		Materialize: materialize,
-	}
-	res, err := Clean(dirty, rs, opts)
+	}, tr
+}
+
+// runParityCase executes the pipeline for one configuration and
+// canonicalizes its outcome.
+func runParityCase(t *testing.T, cfg parityConfig) parityGolden {
+	t.Helper()
+	opts, tr := parityOptions(cfg)
+	res, err := Clean(parityTable(cfg), parityRules(parityCityPool[0]), opts)
 	if err != nil {
 		t.Fatalf("%s: Clean: %v", cfg.Name, err)
 	}
-	g := parityGolden{Name: cfg.Name, Stats: res.Stats, Duplicates: res.Duplicates}
+	return parityOutcome(cfg.Name, res, tr)
+}
+
+// parityOutcome serializes a run and canonicalizes its trace (block-parallel
+// stages append in nondeterministic order; sorting by stable per-phase
+// identities restores a canonical view).
+func parityOutcome(name string, res *Result, tr *Trace) parityGolden {
+	g := parityGolden{Name: name, Stats: res.Stats, Duplicates: res.Duplicates}
 	for _, tp := range res.Repaired.Tuples {
 		g.Repaired = append(g.Repaired, append([]string(nil), tp.Values...))
 	}
@@ -241,30 +243,36 @@ func TestParityGolden(t *testing.T) {
 		t.Fatalf("golden has %d cases, run produced %d", len(want), len(got))
 	}
 	for i := range want {
-		w, g := want[i], got[i]
-		if w.Name != g.Name {
-			t.Fatalf("case %d: name %q vs golden %q", i, g.Name, w.Name)
+		if want[i].Name != got[i].Name {
+			t.Fatalf("case %d: name %q vs golden %q", i, got[i].Name, want[i].Name)
 		}
-		if !reflect.DeepEqual(w.Stats, g.Stats) {
-			t.Errorf("%s: Stats diverged:\n got %+v\nwant %+v", w.Name, g.Stats, w.Stats)
-		}
-		compareRows(t, w.Name+"/Repaired", g.Repaired, w.Repaired)
-		compareRows(t, w.Name+"/Clean", g.Clean, w.Clean)
-		if !reflect.DeepEqual(w.CleanIDs, g.CleanIDs) {
-			t.Errorf("%s: clean tuple IDs diverged", w.Name)
-		}
-		if !reflect.DeepEqual(w.Duplicates, g.Duplicates) {
-			t.Errorf("%s: duplicate sets diverged:\n got %v\nwant %v", w.Name, g.Duplicates, w.Duplicates)
-		}
-		if !reflect.DeepEqual(w.AGP, g.AGP) {
-			t.Errorf("%s: AGP trace diverged:\n got %+v\nwant %+v", w.Name, g.AGP, w.AGP)
-		}
-		if !reflect.DeepEqual(w.RSC, g.RSC) {
-			t.Errorf("%s: RSC trace diverged:\n got %+v\nwant %+v", w.Name, g.RSC, w.RSC)
-		}
-		if !reflect.DeepEqual(w.FSCR, g.FSCR) {
-			t.Errorf("%s: FSCR trace diverged (%d vs %d outcomes)", w.Name, len(g.FSCR), len(w.FSCR))
-		}
+		compareParity(t, want[i].Name, got[i], want[i])
+	}
+}
+
+// compareParity reports every way two serialized runs differ: Stats, rows,
+// clean tuple IDs, duplicate sets, and the AGP/RSC/FSCR trace.
+func compareParity(t *testing.T, label string, got, want parityGolden) {
+	t.Helper()
+	if !reflect.DeepEqual(want.Stats, got.Stats) {
+		t.Errorf("%s: Stats diverged:\n got %+v\nwant %+v", label, got.Stats, want.Stats)
+	}
+	compareRows(t, label+"/Repaired", got.Repaired, want.Repaired)
+	compareRows(t, label+"/Clean", got.Clean, want.Clean)
+	if !reflect.DeepEqual(want.CleanIDs, got.CleanIDs) {
+		t.Errorf("%s: clean tuple IDs diverged", label)
+	}
+	if !reflect.DeepEqual(want.Duplicates, got.Duplicates) {
+		t.Errorf("%s: duplicate sets diverged:\n got %v\nwant %v", label, got.Duplicates, want.Duplicates)
+	}
+	if !reflect.DeepEqual(want.AGP, got.AGP) {
+		t.Errorf("%s: AGP trace diverged:\n got %+v\nwant %+v", label, got.AGP, want.AGP)
+	}
+	if !reflect.DeepEqual(want.RSC, got.RSC) {
+		t.Errorf("%s: RSC trace diverged:\n got %+v\nwant %+v", label, got.RSC, want.RSC)
+	}
+	if !reflect.DeepEqual(want.FSCR, got.FSCR) {
+		t.Errorf("%s: FSCR trace diverged (%d vs %d outcomes)", label, len(got.FSCR), len(want.FSCR))
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"mlnclean/internal/rules"
 )
 
-// The streaming stage-I pipelines: a serial producer pulls blocks from an
+// The stage-I pipeline: a serial producer pulls blocks from an
 // index.BlockIterator (predicate-pushdown scans, postings released as rules
 // complete) while a fixed worker set runs the fused per-block phases on each
 // block as soon as it exists. Only a bounded window of blocks is ever in
@@ -26,17 +26,18 @@ import (
 // rewrites by discarding losing pieces. Workers read only the dictionary's
 // value table, which is append-complete before the first block is built.
 //
-// Output is byte-identical to the materialized three-pass pipeline: blocks
-// are built in rule order exactly as BuildConfigured builds them, the
-// per-block phases are block-independent, and cross-block evaluator reuse
-// only ever returns exact memoized distances (see distance.Pool).
+// Output is byte-identical to the staged composition BuildConfigured →
+// StageAGP → StageLearn → StageRSC: blocks are built in rule order exactly
+// as BuildConfigured builds them, the per-block phases are
+// block-independent, and cross-block evaluator reuse only ever returns
+// exact memoized distances (see distance.Pool).
 
 // streamBlocks drains the iterator through a bounded worker set, handing
 // each worker a pooled distance evaluator it keeps for its whole lifetime.
 // The channel buffer bounds how far the producer runs ahead: at most par
 // blocks queued plus par being processed hold their full piece sets. Errors
 // are collected per block and the first by block index wins — the same
-// reporting order as the materialized stages.
+// reporting order as the Stage* functions.
 func streamBlocks(ctx context.Context, it *index.BlockIterator, opts Options, fn func(bi int, b *index.Block, ev *distance.Evaluator) error) error {
 	par := opts.Parallelism
 	if par <= 0 {
@@ -95,20 +96,33 @@ func streamBlocks(ctx context.Context, it *index.BlockIterator, opts Options, fn
 	return ctx.Err()
 }
 
-// streamStageI is the default stand-alone stage-I pipeline: blocks stream
-// from the iterator through the fused AGP → weight learning → RSC sequence,
-// so memory stays bounded by the window of in-flight blocks instead of every
-// block's full pre-RSC piece set at once.
-func streamStageI(ctx context.Context, dirty *dataset.Table, enc *dataset.Encoded, rs []*rules.Rule, opts Options, st *Stats) (*index.Index, error) {
-	it, err := index.NewBlockIterator(dirty, rs, index.BuildConfig{FixedOrder: opts.DisablePlanner, Encoded: enc})
+// StageIStop names the last phase StreamStageI runs on each block.
+type StageIStop int
+
+const (
+	// ThroughRSC runs all of stage I: AGP → weight learning → RSC.
+	ThroughRSC StageIStop = iota
+	// ThroughLearn stops after weight learning. The distributed workers use
+	// it: the Eq. 6 weight merge runs between learning and RSC, so RSC
+	// (StageRSC) must wait for the merged weights.
+	ThroughLearn
+	// ThroughAGP stops after AGP, for a worker whose weights the
+	// coordinator already holds (a cached model or a recovery re-lease).
+	ThroughAGP
+)
+
+// StreamStageI runs stage I block by block: index blocks stream from the
+// iterator through fused AGP → weight learning → RSC, stopping after the
+// phase stop names, so memory stays bounded by the window of in-flight
+// blocks instead of every block's full pre-RSC piece set at once. The index
+// and the counts accumulated into st are byte-identical to BuildConfigured
+// followed by the same Stage* functions.
+func StreamStageI(ctx context.Context, dirty *dataset.Table, enc *dataset.Encoded, rs []*rules.Rule, opts Options, st *Stats, stop StageIStop) (*index.Index, error) {
+	opts = opts.withDefaults()
+	it, err := index.NewBlockIterator(dirty, rs, index.BuildConfig{Encoded: enc})
 	if err != nil {
 		return nil, err
 	}
-	ix := it.Index()
-	// Record why the planner ordered evaluation the way it did; the CLI and
-	// /v1/stats surface these lines.
-	opts.Trace.SetPlan(ix.Plan().Choices())
-
 	type blockOut struct {
 		groups, pieces, promotions int
 		learnIters, repairs        int
@@ -119,15 +133,21 @@ func streamStageI(ctx context.Context, dirty *dataset.Table, enc *dataset.Encode
 		o := &outs[bi]
 		t0 := time.Now()
 		o.groups, o.pieces, o.promotions = agp(bi, b, opts.Tau, ev, opts.MergeCapRatio, opts.AGPStrategy, nil, opts.Trace)
+		o.agp = time.Since(t0)
+		if stop == ThroughAGP {
+			return nil
+		}
 		t1 := time.Now()
-		o.agp = t1.Sub(t0)
 		n, err := learnBlockWeights(b, opts.Learn)
 		if err != nil {
 			return err
 		}
 		o.learnIters = n
+		o.learn = time.Since(t1)
+		if stop == ThroughLearn {
+			return nil
+		}
 		t2 := time.Now()
-		o.learn = t2.Sub(t1)
 		o.repairs = rsc(bi, b, ev, opts.Trace)
 		o.rsc = time.Since(t2)
 		return nil
@@ -154,70 +174,14 @@ func streamStageI(ctx context.Context, dirty *dataset.Table, enc *dataset.Encode
 		learnTime += o.learn
 		rscTime += o.rsc
 	}
-	// One observation per stage per clean, as in the materialized pipeline;
-	// here the value is the summed per-block time of that phase.
+	// One observation per phase run per clean, as the Stage* functions
+	// make; here the value is the summed per-block time of that phase.
 	mStageAGP.ObserveDuration(agpTime)
-	mStageLearn.ObserveDuration(learnTime)
-	mStageRSC.ObserveDuration(rscTime)
-	return ix, nil
-}
-
-// StreamAGPLearn is the distributed worker's streaming stage I: index blocks
-// are built from the iterator with AGP and (when learn is true) weight
-// learning fused per block, and RSC is NOT run — the distributed protocol
-// interleaves the Eq. 6 weight merge between learning and RSC, so RSC must
-// wait for the merged weights. Output is byte-identical to BuildConfigured
-// followed by StageAGP and StageLearn. Block and group counts accumulate
-// into st exactly as the materialized stages would leave them.
-func StreamAGPLearn(ctx context.Context, dirty *dataset.Table, enc *dataset.Encoded, rs []*rules.Rule, opts Options, st *Stats, learn bool) (*index.Index, error) {
-	opts = opts.withDefaults()
-	it, err := index.NewBlockIterator(dirty, rs, index.BuildConfig{FixedOrder: opts.DisablePlanner, Encoded: enc})
-	if err != nil {
-		return nil, err
-	}
-	ix := it.Index()
-	type blockOut struct {
-		groups, pieces, promotions int
-		learnIters                 int
-		agp, learn                 time.Duration
-	}
-	outs := make([]blockOut, it.Len())
-	err = streamBlocks(ctx, it, opts, func(bi int, b *index.Block, ev *distance.Evaluator) error {
-		o := &outs[bi]
-		t0 := time.Now()
-		o.groups, o.pieces, o.promotions = agp(bi, b, opts.Tau, ev, opts.MergeCapRatio, opts.AGPStrategy, nil, opts.Trace)
-		t1 := time.Now()
-		o.agp = t1.Sub(t0)
-		if learn {
-			n, err := learnBlockWeights(b, opts.Learn)
-			if err != nil {
-				return err
-			}
-			o.learnIters = n
-			o.learn = time.Since(t1)
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	var agpTime, learnTime time.Duration
-	for bi := range outs {
-		o := &outs[bi]
-		st.AbnormalGroups += o.groups
-		st.AbnormalPieces += o.pieces
-		st.AGPPromotions += o.promotions
-		st.LearnIterations += o.learnIters
-		mAbnormalGroups.Add(int64(o.groups))
-		mAGPPromotions.Add(int64(o.promotions))
-		mAGPMerges.Add(int64(o.groups - o.promotions))
-		mLearnIterations.Add(int64(o.learnIters))
-		agpTime += o.agp
-		learnTime += o.learn
-	}
-	mStageAGP.ObserveDuration(agpTime)
-	if learn {
+	if stop != ThroughAGP {
 		mStageLearn.ObserveDuration(learnTime)
 	}
-	return ix, nil
+	if stop == ThroughRSC {
+		mStageRSC.ObserveDuration(rscTime)
+	}
+	return it.Index(), nil
 }

@@ -697,15 +697,12 @@ func (ex *Executor) finish(dirty *dataset.Table, res *Result) (*Result, error) {
 			res.Stats.DuplicatesRemoved += len(d) - 1
 		}
 	}
-	if !ex.opts.Core.DisablePlanner {
-		// Render the plan the run's statistics imply. The gather dictionary
-		// has observed every tuple by now (Submit observes at ingest; the
-		// batch path's gather FSCR re-encode observes the full table), so
-		// this is the whole-dataset view of the per-partition plans the
-		// workers derived.
-		for _, c := range plan.New(ex.rs, ex.schema, ex.dict).Choices() {
-			res.Plan = append(res.Plan, c.String())
-		}
+	// Render the plan the run's statistics imply. The gather dictionary has
+	// observed every tuple by now (Submit observes at ingest; the batch
+	// path's gather FSCR re-encode observes the full table), so this is the
+	// whole-dataset view of the per-partition plans the workers derived.
+	for _, c := range plan.New(ex.rs, ex.schema, ex.dict).Choices() {
+		res.Plan = append(res.Plan, c.String())
 	}
 	res.GatherTime += time.Since(t0)
 	res.WallTime = time.Since(ex.createdAt)
@@ -1082,10 +1079,10 @@ func (h *heartbeater) stop() {
 // Ingest is bounded: each TupleBatch is interned on arrival (the partition
 // table's values alias the dictionary's canonical strings, so the worker
 // holds one copy of every distinct value and never the raw batch slices),
-// and stage I streams blocks from an iterator unless Materialize crossed
-// the wire. Recovery replays a partition's batches in their original order
-// onto a fresh incarnation, so the incremental encoding — value IDs minted
-// in row-major first-sight order — is byte-identical across re-leases.
+// and stage I streams blocks from an iterator. Recovery replays a
+// partition's batches in their original order onto a fresh incarnation, so
+// the incremental encoding — value IDs minted in row-major first-sight
+// order — is byte-identical across re-leases.
 func workerMain(ctx context.Context, tr Transport, w int, opts core.Options, optsFromInit bool) {
 	var (
 		schema    *dataset.Schema
@@ -1155,35 +1152,19 @@ func workerMain(ctx context.Context, tr Transport, w int, opts core.Options, opt
 			default:
 				tb = senc.Table()
 				stats.Tuples = tb.Len()
-				var err error
-				if opts.Materialize {
-					// Escape hatch: full index, then one block-parallel pass
-					// per phase — the pre-streaming worker pipeline.
-					if ix, err = index.BuildConfigured(tb, rs, index.BuildConfig{FixedOrder: opts.DisablePlanner, Encoded: senc.Encoded()}); err != nil {
-						reply.Err = err.Error()
-						break
-					}
-					stats.Blocks = len(ix.Blocks)
-					if err := core.StageAGP(ctx, ix, opts, &stats); err != nil {
-						reply.Err = err.Error()
-						break
-					}
-					if !msg.SkipLearn {
-						if err := core.StageLearn(ctx, ix, opts, &stats); err != nil {
-							reply.Err = err.Error()
-							break
-						}
-					}
-				} else {
-					// Default: stream blocks from the iterator with AGP and
-					// learning fused per block; RSC waits for the merged
-					// weights, as the protocol requires.
-					if ix, err = core.StreamAGPLearn(ctx, tb, senc.Encoded(), rs, opts, &stats, !msg.SkipLearn); err != nil {
-						reply.Err = err.Error()
-						break
-					}
-					stats.Blocks = len(ix.Blocks)
+				// Stream blocks from the iterator with AGP and learning fused
+				// per block; RSC waits for the merged weights, as the
+				// protocol requires.
+				stop := core.ThroughLearn
+				if msg.SkipLearn {
+					stop = core.ThroughAGP
 				}
+				var err error
+				if ix, err = core.StreamStageI(ctx, tb, senc.Encoded(), rs, opts, &stats, stop); err != nil {
+					reply.Err = err.Error()
+					break
+				}
+				stats.Blocks = len(ix.Blocks)
 				if !msg.SkipLearn {
 					reply.Summaries = ix.PieceSummaries()
 				}

@@ -261,23 +261,12 @@ type Index struct {
 	plan   *plan.Plan
 }
 
-// Plan returns the evaluation plan the index was built under, or nil when
-// the planner was disabled (BuildConfig.FixedOrder).
+// Plan returns the evaluation plan the index was built under.
 func (ix *Index) Plan() *plan.Plan { return ix.plan }
 
 // BlockOrder returns the stage-I scheduling order of the blocks: descending
-// estimated cost (longest-processing-time-first) when a plan exists, block
-// order otherwise.
-func (ix *Index) BlockOrder() []int {
-	if ix.plan != nil && len(ix.plan.Rules) == len(ix.Blocks) {
-		return ix.plan.BlockOrder()
-	}
-	order := make([]int, len(ix.Blocks))
-	for i := range order {
-		order[i] = i
-	}
-	return order
-}
+// estimated cost (longest-processing-time-first) under the plan.
+func (ix *Index) BlockOrder() []int { return ix.plan.BlockOrder() }
 
 // Table returns the dirty table the index was built over.
 func (ix *Index) Table() *dataset.Table { return ix.table }
@@ -338,12 +327,6 @@ func (pl *rulePlan) appliesTo(row []uint32) bool {
 type BuildConfig struct {
 	// Dict is the dictionary to encode into (nil for a fresh one).
 	Dict *intern.Dict
-	// FixedOrder disables the selectivity planner: every block is built by
-	// the fixed-order row scan and Index.Plan() returns nil. A planned build
-	// produces an identical index — selectivity changes evaluation order,
-	// never outcome — so this exists for comparison benchmarks and as an
-	// escape hatch.
-	FixedOrder bool
 	// Encoded supplies a pre-encoded companion of the table (streaming
 	// ingest encodes during CSV parsing). It must be row-aligned with the
 	// table and is adopted as the index's encoding; Dict is ignored in its

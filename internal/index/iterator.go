@@ -58,21 +58,16 @@ func NewBlockIterator(tb *dataset.Table, rs []*rules.Rule, cfg BuildConfig) (*Bl
 	if enc == nil {
 		enc = dataset.Encode(tb, cfg.Dict)
 	}
-	ix := &Index{table: tb, enc: enc, Blocks: make([]*Block, 0, len(rs))}
-	if !cfg.FixedOrder {
-		ix.plan = plan.New(rs, tb.Schema, enc.Dict)
-	}
+	ix := &Index{table: tb, enc: enc, plan: plan.New(rs, tb.Schema, enc.Dict), Blocks: make([]*Block, 0, len(rs))}
 	it := &BlockIterator{
 		ix:      ix,
 		rs:      rs,
 		post:    &postings{enc: enc, cols: make([]*colPostings, tb.Schema.Len())},
 		colUses: make([]int, tb.Schema.Len()),
 	}
-	if ix.plan != nil {
-		for ri := range ix.plan.Rules {
-			for _, pos := range it.scanColumns(ri) {
-				it.colUses[pos]++
-			}
+	for ri := range ix.plan.Rules {
+		for _, pos := range it.scanColumns(ri) {
+			it.colUses[pos]++
 		}
 	}
 	it.building += time.Since(t0)
@@ -80,11 +75,8 @@ func NewBlockIterator(tb *dataset.Table, rs []*rules.Rule, cfg BuildConfig) (*Bl
 }
 
 // scanColumns lists the columns whose posting lists rule ri's planned scan
-// reads (empty for full scans and unplanned builds).
+// reads (empty for full scans).
 func (it *BlockIterator) scanColumns(ri int) []int {
-	if it.ix.plan == nil {
-		return nil
-	}
 	switch choice := &it.ix.plan.Rules[ri]; choice.Scan {
 	case plan.PostingUnion:
 		return choice.ConstPos
@@ -112,11 +104,7 @@ func (it *BlockIterator) Next() (bi int, b *Block, ok bool) {
 	t0 := time.Now()
 	ri := it.next
 	it.next++
-	var choice *plan.RulePlan
-	if it.ix.plan != nil {
-		choice = &it.ix.plan.Rules[ri]
-	}
-	b = buildBlock(it.ix.table, it.ix.enc, it.ix.enc.Dict, it.rs[ri], choice, it.post)
+	b = buildBlock(it.ix.table, it.ix.enc, it.ix.enc.Dict, it.rs[ri], &it.ix.plan.Rules[ri], it.post)
 	it.ix.Blocks = append(it.ix.Blocks, b)
 	for _, pos := range it.scanColumns(ri) {
 		if it.colUses[pos]--; it.colUses[pos] <= 0 {

@@ -8,45 +8,49 @@ import (
 )
 
 // TestIteratorMatchesBuild: draining a BlockIterator yields byte-for-byte
-// the index BuildConfigured produces, planned and fixed-order alike.
+// the index BuildConfigured produces, and each block it yields equals the
+// fixed declared-order scan of its rule.
 func TestIteratorMatchesBuild(t *testing.T) {
 	rs := plannedRules(t)
-	for _, cfg := range []BuildConfig{{}, {FixedOrder: true}} {
-		built, err := BuildConfigured(plannedTable(t), rs, cfg)
-		if err != nil {
-			t.Fatalf("build: %v", err)
+	built, err := BuildConfigured(plannedTable(t), rs, BuildConfig{})
+	if err != nil {
+		t.Fatalf("build: %v", err)
+	}
+	tb := plannedTable(t)
+	it, err := NewBlockIterator(tb, rs, BuildConfig{})
+	if err != nil {
+		t.Fatalf("iterator: %v", err)
+	}
+	if it.Len() != len(rs) {
+		t.Fatalf("Len = %d, want %d", it.Len(), len(rs))
+	}
+	n := 0
+	for {
+		bi, b, ok := it.Next()
+		if !ok {
+			break
 		}
-		it, err := NewBlockIterator(plannedTable(t), rs, cfg)
-		if err != nil {
-			t.Fatalf("iterator: %v", err)
+		if bi != n {
+			t.Fatalf("block index %d out of order (want %d)", bi, n)
 		}
-		if it.Len() != len(rs) {
-			t.Fatalf("Len = %d, want %d", it.Len(), len(rs))
+		if b.Rule.ID != rs[n].ID {
+			t.Fatalf("block %d rule %s, want %s", bi, b.Rule.ID, rs[n].ID)
 		}
-		n := 0
-		for {
-			bi, b, ok := it.Next()
-			if !ok {
-				break
-			}
-			if bi != n {
-				t.Fatalf("block index %d out of order (want %d)", bi, n)
-			}
-			if b.Rule.ID != rs[n].ID {
-				t.Fatalf("block %d rule %s, want %s", bi, b.Rule.ID, rs[n].ID)
-			}
-			n++
+		want := dumpBlocks([]*Block{fixedOrderBlock(tb, rs[bi])})
+		if got := dumpBlocks([]*Block{b}); got != want {
+			t.Errorf("block %d (%s scan) differs from the fixed-order scan:\n--- fixed ---\n%s--- iterated ---\n%s",
+				bi, it.Index().Plan().Rules[bi].Scan, want, got)
 		}
-		if n != len(rs) {
-			t.Fatalf("iterator yielded %d blocks, want %d", n, len(rs))
-		}
-		if _, _, ok := it.Next(); ok {
-			t.Fatal("Next after exhaustion must report done")
-		}
-		if di, db := dumpIndex(it.Index()), dumpIndex(built); di != db {
-			t.Errorf("iterated index differs from built (FixedOrder=%v):\n--- built ---\n%s--- iterated ---\n%s",
-				cfg.FixedOrder, db, di)
-		}
+		n++
+	}
+	if n != len(rs) {
+		t.Fatalf("iterator yielded %d blocks, want %d", n, len(rs))
+	}
+	if _, _, ok := it.Next(); ok {
+		t.Fatal("Next after exhaustion must report done")
+	}
+	if di, db := dumpIndex(it.Index()), dumpIndex(built); di != db {
+		t.Errorf("iterated index differs from built:\n--- built ---\n%s--- iterated ---\n%s", db, di)
 	}
 }
 
@@ -60,9 +64,6 @@ func TestIteratorReleasesPostings(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := it.Index().Plan()
-	if p == nil {
-		t.Fatal("planned iterator must carry a plan")
-	}
 	// plannedRules plan: rule 0 pivot-joins, rule 1 posting-unions, rule 2
 	// full-scans — so after rule 1 every posting list must be gone.
 	if p.Rules[0].Scan != plan.PivotJoin || p.Rules[1].Scan != plan.PostingUnion {

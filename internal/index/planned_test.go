@@ -3,6 +3,7 @@ package index
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -18,9 +19,12 @@ import (
 // differ between scan orders, while everything the pipeline's output
 // depends on (decoded values, group/piece order, tuple membership) must
 // not.
-func dumpIndex(ix *Index) string {
+func dumpIndex(ix *Index) string { return dumpBlocks(ix.Blocks) }
+
+// dumpBlocks is dumpIndex over a bare block list.
+func dumpBlocks(bs []*Block) string {
 	var sb strings.Builder
-	for bi, b := range ix.Blocks {
+	for bi, b := range bs {
 		fmt.Fprintf(&sb, "block %d rule %s\n", bi, b.Rule.ID)
 		for gi, g := range b.Groups {
 			fmt.Fprintf(&sb, "  group %d key=%q\n", gi, g.Key)
@@ -30,6 +34,13 @@ func dumpIndex(ix *Index) string {
 		}
 	}
 	return sb.String()
+}
+
+// fixedOrderBlock builds rule r's block by the fixed declared-order row scan
+// (BuildBlockFor, the scan the delta engine rebuilds dirty blocks with) over
+// a fresh encoding of tb: the reference every planned block must equal.
+func fixedOrderBlock(tb *dataset.Table, r *rules.Rule) *Block {
+	return BuildBlockFor(tb, dataset.Encode(tb, nil), r)
 }
 
 // plannedRules exercises all three scan shapes: a multi-attribute FD the
@@ -70,22 +81,16 @@ func plannedTable(t *testing.T) *dataset.Table {
 // TestPlannedBuildEquivalence is the planner's core guarantee: a planned
 // build produces byte-for-byte the same index — same block, group, and
 // piece order, same identities, same supporting tuples — as the fixed
-// declared-order scan. Selectivity changes how the work is done, never its
-// outcome.
+// declared-order scan of every rule. Selectivity changes how the work is
+// done, never its outcome.
 func TestPlannedBuildEquivalence(t *testing.T) {
 	rs := plannedRules(t)
-	fixed, err := BuildConfigured(plannedTable(t), rs, BuildConfig{FixedOrder: true})
-	if err != nil {
-		t.Fatalf("fixed build: %v", err)
-	}
-	planned, err := BuildConfigured(plannedTable(t), rs, BuildConfig{})
+	tb := plannedTable(t)
+	planned, err := BuildConfigured(tb, rs, BuildConfig{})
 	if err != nil {
 		t.Fatalf("planned build: %v", err)
 	}
 
-	if fixed.Plan() != nil {
-		t.Error("fixed-order build must not carry a plan")
-	}
 	p := planned.Plan()
 	if p == nil {
 		t.Fatal("planned build must carry its plan")
@@ -101,29 +106,31 @@ func TestPlannedBuildEquivalence(t *testing.T) {
 		}
 	}
 
-	if df, dp := dumpIndex(fixed), dumpIndex(planned); df != dp {
-		t.Errorf("planned index differs from fixed-order index:\n--- fixed ---\n%s--- planned ---\n%s", df, dp)
+	fixed := make([]*Block, len(rs))
+	for i, r := range rs {
+		fixed[i] = fixedOrderBlock(tb, r)
+	}
+	if df, dp := dumpBlocks(fixed), dumpIndex(planned); df != dp {
+		t.Errorf("planned index differs from fixed-order blocks:\n--- fixed ---\n%s--- planned ---\n%s", df, dp)
 	}
 }
 
-// TestBlockOrderFallback: an index built without a plan schedules blocks in
-// rule order; a planned one uses the plan's heaviest-first order over the
-// same index set.
-func TestBlockOrderFallback(t *testing.T) {
-	rs := plannedRules(t)
-	fixed, _ := BuildConfigured(plannedTable(t), rs, BuildConfig{FixedOrder: true})
-	order := fixed.BlockOrder()
-	for i, bi := range order {
-		if bi != i {
-			t.Fatalf("fixed BlockOrder = %v, want identity", order)
-		}
+// TestBlockOrderIsPlanOrder: stage I schedules an index's blocks in its
+// plan's heaviest-first order, a permutation of the blocks.
+func TestBlockOrderIsPlanOrder(t *testing.T) {
+	planned, err := BuildConfigured(plannedTable(t), plannedRules(t), BuildConfig{})
+	if err != nil {
+		t.Fatal(err)
 	}
-	planned, _ := BuildConfigured(plannedTable(t), rs, BuildConfig{})
+	order := planned.BlockOrder()
+	if want := planned.Plan().BlockOrder(); !reflect.DeepEqual(order, want) {
+		t.Fatalf("BlockOrder = %v, want the plan's %v", order, want)
+	}
 	seen := make(map[int]bool)
-	for _, bi := range planned.BlockOrder() {
+	for _, bi := range order {
 		seen[bi] = true
 	}
-	if len(seen) != len(planned.Blocks) {
-		t.Fatalf("planned BlockOrder %v is not a permutation of %d blocks", planned.BlockOrder(), len(planned.Blocks))
+	if len(order) != len(planned.Blocks) || len(seen) != len(planned.Blocks) {
+		t.Fatalf("BlockOrder %v is not a permutation of %d blocks", order, len(planned.Blocks))
 	}
 }

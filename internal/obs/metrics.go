@@ -246,9 +246,10 @@ func escapeLabel(v string) string {
 }
 
 // get returns the series for (name, labels), creating family and series on
-// first sight. Registering one name under two kinds is a programming error
-// and panics.
-func (r *Registry) get(name, help string, kind metricKind, ls []Label) *series {
+// first sight, and runs init on it under the registry lock so a concurrent
+// first request and a scrape both see its instrument fully built.
+// Registering one name under two kinds is a programming error and panics.
+func (r *Registry) get(name, help string, kind metricKind, ls []Label, init func(*series)) *series {
 	suffix := renderLabels(ls)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -266,36 +267,37 @@ func (r *Registry) get(name, help string, kind metricKind, ls []Label) *series {
 		f.series[suffix] = s
 		f.order = append(f.order, suffix)
 	}
+	init(s)
 	return s
 }
 
 // Counter returns the named counter, registering it on first sight.
 func (r *Registry) Counter(name, help string, ls ...Label) *Counter {
-	s := r.get(name, help, kindCounter, ls)
-	if s.c == nil {
-		s.c = &Counter{}
-	}
-	return s.c
+	return r.get(name, help, kindCounter, ls, func(s *series) {
+		if s.c == nil {
+			s.c = &Counter{}
+		}
+	}).c
 }
 
 // Gauge returns the named gauge, registering it on first sight.
 func (r *Registry) Gauge(name, help string, ls ...Label) *Gauge {
-	s := r.get(name, help, kindGauge, ls)
-	if s.g == nil {
-		s.g = &Gauge{}
-	}
-	return s.g
+	return r.get(name, help, kindGauge, ls, func(s *series) {
+		if s.g == nil {
+			s.g = &Gauge{}
+		}
+	}).g
 }
 
 // GaugeFunc registers a gauge sampled from fn at scrape time. Re-registering
 // the same series replaces the callback (latest owner wins), so a restarted
 // subsystem re-binds the series to its live state.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64, ls ...Label) {
-	s := r.get(name, help, kindGauge, ls)
-	if s.gf == nil {
-		s.gf = &gaugeFunc{}
-	}
-	s.gf.fn.Store(fn)
+	r.get(name, help, kindGauge, ls, func(s *series) {
+		if s.gf == nil {
+			s.gf = &gaugeFunc{}
+		}
+	}).gf.fn.Store(fn)
 }
 
 // Histogram returns the named histogram over the given cumulative upper
@@ -303,15 +305,15 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64, ls ...Label) 
 // sight. A later request with different buckets returns the existing
 // instrument unchanged.
 func (r *Registry) Histogram(name, help string, buckets []float64, ls ...Label) *Histogram {
-	s := r.get(name, help, kindHistogram, ls)
-	if s.h == nil {
-		bounds := append([]float64(nil), buckets...)
-		if len(bounds) == 0 {
-			bounds = append(bounds, DefBuckets...)
+	return r.get(name, help, kindHistogram, ls, func(s *series) {
+		if s.h == nil {
+			bounds := append([]float64(nil), buckets...)
+			if len(bounds) == 0 {
+				bounds = append(bounds, DefBuckets...)
+			}
+			s.h = &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
 		}
-		s.h = &Histogram{bounds: bounds, counts: make([]atomic.Int64, len(bounds)+1)}
-	}
-	return s.h
+	}).h
 }
 
 // fmtFloat renders a sample value the way Prometheus text format expects.

@@ -65,8 +65,8 @@ type recCleanDone struct {
 	WorkersLost int
 	WallMS      int64
 	Cached      bool
-	// Plan is the run's rendered planner choices; old logs decode it empty,
-	// matching a planner-less run. Restart re-serves it byte-identically.
+	// Plan is the run's rendered planner choices; old logs decode it empty.
+	// Restart re-serves it byte-identically.
 	Plan []string
 }
 

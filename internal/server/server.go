@@ -285,7 +285,7 @@ type ResultResponse struct {
 	RolledBack bool `json:"rolled_back,omitempty"`
 	// Plan lists the selectivity planner's per-rule scan choices as rendered
 	// plan-dump lines (why each rule's evaluation was ordered the way it
-	// was); empty when the run disabled the planner.
+	// was).
 	Plan []string `json:"plan,omitempty"`
 	// Delta reports how much of version N-1's work this version reused;
 	// absent on version 1.

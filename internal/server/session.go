@@ -55,7 +55,10 @@ var ErrDurability = fmt.Errorf("server: durability failure")
 // API maps it to 422, distinct from the 400 reserved for undecodable bodies.
 var ErrInvalid = fmt.Errorf("server: invalid request")
 
-// CreateRequest are the parameters of a new cleaning session.
+// CreateRequest are the parameters of a new cleaning session. Unknown JSON
+// fields are ignored, as are unknown fields of a logged create record, so
+// bodies and logs that still carry retired pipeline switches create the same
+// session as before.
 type CreateRequest struct {
 	// Rules is the constraint set, one per line (internal/rules syntax).
 	Rules string `json:"rules"`
@@ -75,18 +78,6 @@ type CreateRequest struct {
 	Metric string `json:"metric,omitempty"`
 	// KeepDuplicates skips duplicate elimination in the result.
 	KeepDuplicates bool `json:"keep_duplicates,omitempty"`
-	// DisablePlanner turns off the selectivity-driven rule planner, forcing
-	// declared-order full scans during index construction (comparison and
-	// debugging switch; the planner never changes outcomes, only scan order).
-	// Not part of the weights fingerprint for the same reason — the learner
-	// sees identical groups either way.
-	DisablePlanner bool `json:"disable_planner,omitempty"`
-	// Materialize disables the streaming worker pipeline: each worker builds
-	// its full partition index before any cleaning instead of streaming
-	// blocks from an iterator with fused AGP + learning. Output is identical
-	// either way (comparison and escape hatch); not part of the weights
-	// fingerprint because the learner sees identical groups either way.
-	Materialize bool `json:"materialize,omitempty"`
 	// FreshWeights opts out of the weight cache: the session relearns from
 	// its own tuples even when a cached vector exists. Cached weights are
 	// learned from whatever data previous sessions streamed, so clients
@@ -188,8 +179,7 @@ type SessionInfo struct {
 	// session is done.
 	Versions int `json:"versions,omitempty"`
 	// Plan lists the rule planner's per-rule scan choices (rendered
-	// plan-dump lines) once the run completes; empty while cleaning or when
-	// the planner was disabled.
+	// plan-dump lines) once the run completes; empty while cleaning.
 	Plan       []string  `json:"plan,omitempty"`
 	CreatedAt  time.Time `json:"created_at"`
 	LastUsedAt time.Time `json:"last_used_at"`
@@ -750,8 +740,6 @@ func executorOptions(req CreateRequest, workers int, factory distributed.Transpo
 			Tau:            req.Tau,
 			Metric:         metricFor(req.Metric),
 			KeepDuplicates: req.KeepDuplicates,
-			DisablePlanner: req.DisablePlanner,
-			Materialize:    req.Materialize,
 		},
 	}
 	if opts.Seed == 0 {
